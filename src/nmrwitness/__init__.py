@@ -26,7 +26,6 @@ from .correlations import (
     entropy,
     measure_map,
     measure_map_deviation,
-    mim_epsilon,
     mutual_information,
     mutual_information_epsilon,
     symmetric_discord,

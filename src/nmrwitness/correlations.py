@@ -4,9 +4,11 @@ Total correlations are measured by the quantum mutual information; the
 classical share is the maximum mutual information surviving a product
 projective measurement, and the symmetric quantum discord is the gap.
 Both the exact (bits) and the leading-order high-temperature expansion
-(units of (epsilon^2/ln2) bit) are provided.  The measurement optimization
-is a coarse grid over the four Bloch angles followed by Nelder-Mead
-refinement from the best grid cells; it is fully deterministic.
+(units of (epsilon^2/ln2) bit) are provided.  The expansion is closed form
+in the singular values of the deviation's 3x3 correlation block T.  Only the
+exact measurement optimization searches: a coarse grid over the four Bloch
+angles followed by Nelder-Mead refinement from the best grid cells; it is
+fully deterministic.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import OptimizerFailure
-from .pauli import SIGMA, direction, on_a, on_b
+from .pauli import IDENTITY_2, SIGMA, direction
 from .states import DensityMatrix, DeviationState, partial_trace
+
+# Singular values of T within this fraction of s1 count as tied: deviations
+# extracted at epsilon = 1e-5 carry about 1e-11 of rounding.
+TIE_TOL = 1e-9
+_TIE_AXES = np.eye(3)[[2, 0, 1]]  # z, x, y: the order the tie rule projects
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,7 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid-then-refine settings for the measurement-basis search."""
+    """Grid-then-refine settings for the exact measurement-basis search."""
 
     grid_points: int = 24
     refine_starts: int = 5
@@ -121,43 +128,62 @@ def measure_map(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     return DensityMatrix(measure_map_deviation(rho.matrix, basis))
 
 
-# --- epsilon^2 expansion ----------------------------------------------------
+# --- Pauli coefficients -----------------------------------------------------
 
-
-def _reduced(delta: np.ndarray, keep: str) -> np.ndarray:
-    return partial_trace(delta, keep)
-
-
-def _expansion_value(delta: np.ndarray) -> float:
-    """2 tr(D^2) - tr(D_a^2) - tr(D_b^2) for a (measured) deviation matrix."""
-    da = _reduced(delta, "a")
-    db = _reduced(delta, "b")
-    return float(
-        (2 * np.trace(delta @ delta) - np.trace(da @ da) - np.trace(db @ db)).real
-    )
-
-
-def mutual_information_epsilon(dev: DeviationState) -> float:
-    """Leading-order mutual information, in units of (epsilon^2/ln2) bit."""
-    return _expansion_value(dev.delta)
-
-
-def mim_epsilon(dev_chi: DeviationState) -> float:
-    """Leading-order measurement-induced mutual information of a measured
-    deviation, in units of (epsilon^2/ln2) bit."""
-    return _expansion_value(dev_chi.delta)
-
-
-# --- Pauli coefficients and fast objectives ---------------------------------
+# s_mu x s_nu for mu, nu = 0..3 (s_0 = I), flattened mu-major to (16, 4, 4).
+_PAULI_BASIS = np.array([np.kron(p, q) for p in (IDENTITY_2, *SIGMA)
+                         for q in (IDENTITY_2, *SIGMA)])
 
 
 def pauli_coefficients(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local vectors and full correlation matrix of a two-qubit operator:
     a_i = tr(M s_i x I), b_i = tr(M I x s_i), T_ij = tr(M s_i x s_j)."""
-    a = np.array([np.trace(mat @ on_a(s)).real for s in SIGMA])
-    b = np.array([np.trace(mat @ on_b(s)).real for s in SIGMA])
-    t = np.array([[np.trace(mat @ np.kron(si, sj)).real for sj in SIGMA] for si in SIGMA])
-    return a, b, t
+    r = np.einsum("kij,ji->k", _PAULI_BASIS, mat).real.reshape(4, 4)
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
+
+
+# --- epsilon^2 expansion: closed form from T -------------------------------
+
+
+def mutual_information_epsilon(dev: DeviationState) -> float:
+    """Leading-order mutual information ||T||_F^2 / 2, in units of
+    (epsilon^2/ln2) bit; the local terms of the deviation cancel."""
+    _, _, t = pauli_coefficients(dev.delta)
+    return float(np.sum(t * t)) / 2.0
+
+
+def discord_epsilon(dev: DeviationState) -> CorrelationReport:
+    """Leading-order symmetric discord, in units of (epsilon^2/ln2) bit.
+
+    The measured value at directions (na, nb) is (na.T.nb)^2/2, so with the
+    singular values s1 >= s2 >= s3 of T: I = ||T||_F^2/2, C = s1^2/2 and
+    Q = (s2^2 + s3^2)/2, along the leading singular-vector pair.  Tie rule:
+    singular values within TIE_TOL * s1 of s1 are tied; na is the normalized
+    projection onto the tied left subspace of the first of z, x, y that does
+    not vanish, nb is along T^T na, and T = 0 reports the z basis.
+    """
+    _, _, t = pauli_coefficients(dev.delta)
+    u, s, _ = np.linalg.svd(t)
+    na = nb = _TIE_AXES[0]
+    if s[0] > 0.0:
+        tied = u[:, s >= s[0] * (1.0 - TIE_TOL)]
+        for axis in _TIE_AXES:
+            na = tied @ (tied.T @ axis)
+            if np.linalg.norm(na) > TIE_TOL:
+                break
+        na = na / np.linalg.norm(na)
+        nb = t.T @ na
+        nb = nb / np.linalg.norm(nb)
+    return CorrelationReport(
+        mutual_info=float(np.sum(t * t)) / 2.0,
+        quantum=float(s[1] ** 2 + s[2] ** 2) / 2.0,
+        classical=float(s[0] ** 2) / 2.0,
+        units="epsilon2-bits",
+        argmax_basis=MeasurementBasis(*_canonical_angles(na), *_canonical_angles(nb)),
+    )
+
+
+# --- exact objective --------------------------------------------------------
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
@@ -187,13 +213,6 @@ def _exact_objective(a, b, t, na: np.ndarray, nb: np.ndarray):
     return h_a + h_b - h_joint
 
 
-def _epsilon_objective(t, na: np.ndarray, nb: np.ndarray):
-    # Local terms cancel between the joint and reduced traces, leaving only
-    # the projected correlation (na . T . nb)^2 / 2.
-    kappa = np.einsum("...i,ij,...j->...", na, t, nb)
-    return kappa**2 / 2.0
-
-
 # --- grid + simplex search --------------------------------------------------
 
 
@@ -214,10 +233,9 @@ def _grid_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, np.stack([tt, pp], axis=-1)
 
 
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Map a direction to hemisphere-canonical angles (projector pairs are
-    invariant under n -> -n)."""
-    n = direction(theta, phi)
+def _canonical_angles(n: np.ndarray) -> tuple[float, float]:
+    """Map a unit direction to hemisphere-canonical angles (projector pairs
+    are invariant under n -> -n)."""
     if n[2] < 0 or (abs(n[2]) < 1e-12 and (n[0] < 0 or (abs(n[0]) < 1e-12 and n[1] < 0))):
         n = -n
     th = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
@@ -262,8 +280,8 @@ def _maximize(value_on_grid, value_at, opt: OptimizerConfig) -> tuple[float, Mea
             },
         )
         any_converged = any_converged or bool(res.success)
-        t_a, p_a = _canonical_angles(res.x[0], res.x[1])
-        t_b, p_b = _canonical_angles(res.x[2], res.x[3])
+        t_a, p_a = _canonical_angles(direction(res.x[0], res.x[1]))
+        t_b, p_b = _canonical_angles(direction(res.x[2], res.x[3]))
         best.append((-res.fun, (t_a, p_a, t_b, p_b)))
     if not any_converged:
         raise OptimizerFailure("no Nelder-Mead start converged within budget")
@@ -300,31 +318,5 @@ def symmetric_discord(rho: DensityMatrix, opt: OptimizerConfig | None = None) ->
         quantum=total - classical,
         classical=classical,
         units="bits",
-        argmax_basis=basis,
-    )
-
-
-def discord_epsilon(dev: DeviationState, opt: OptimizerConfig | None = None) -> CorrelationReport:
-    """Leading-order symmetric discord, in units of (epsilon^2/ln2) bit."""
-    opt = opt or OptimizerConfig()
-    _, _, t = pauli_coefficients(dev.delta)
-    total = mutual_information_epsilon(dev)
-
-    def on_grid(na, nb):
-        return _epsilon_objective(t, na, nb)
-
-    def at(x):
-        na = direction(x[0], x[1])
-        nb = direction(x[2], x[3])
-        return float(_epsilon_objective(t, na, nb))
-
-    _, basis = _maximize(on_grid, at, opt)
-    chi = measure_map_deviation(dev.delta, basis)
-    classical = mim_epsilon(DeviationState(delta=chi, epsilon=dev.epsilon))
-    return CorrelationReport(
-        mutual_info=total,
-        quantum=total - classical,
-        classical=classical,
-        units="epsilon2-bits",
         argmax_basis=basis,
     )

@@ -213,7 +213,7 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
         rep, gap = _witness_with_cross_check(state, config)
         cross_max = max(cross_max, gap)
         dev = extract_deviation(state, config.params.epsilon)
-        corr = discord_epsilon(dev, config.optimizer)
+        corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
         o = ",".join(f"{v:.12g}" for v in rep.o)
         witness_lines.append(f"{kind},{rep.w:.12g},{o},{rep.mode},{rep.normalization}")
@@ -266,7 +266,7 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     state = _prepare("QC", config, noise_rng)
     _, cross_max = _witness_with_cross_check(state, config, include_o4=False)
     series = dynamics_sweep(state, config.delta_t, config.n_steps, config.params,
-                            dir=sample_direction(config.seed), opt=config.optimizer)
+                            dir=sample_direction(config.seed))
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
         "first_t_witness_below_bound": series.first_time_below(
@@ -295,7 +295,7 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     if isinstance(parsed, DeviationState):
         dev = parsed
         state = compose_deviation(dev)
-        eps_corr = discord_epsilon(dev, config.optimizer).to_json()
+        eps_corr = discord_epsilon(dev).to_json()
     else:
         state = parsed
         eps_corr = None

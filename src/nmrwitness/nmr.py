@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .circuit import WitnessDirection, cnot, sample_direction, witness
-from .correlations import OptimizerConfig, discord_epsilon
+from .correlations import discord_epsilon
 from .errors import BadIndex, SequenceMismatch, UnknownKind
 from .pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b
 from .states import (
@@ -468,11 +468,12 @@ def pulse_protocol_state(rho: DensityMatrix, i: int, params: SpinSystemParams,
 
 def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
                    params: SpinSystemParams,
-                   dir: WitnessDirection | None = None,
-                   opt: OptimizerConfig | None = None) -> DynamicsSeries:
+                   dir: WitnessDirection | None = None) -> DynamicsSeries:
     """Relax for t_n = n * delta_t, n = 0..n_steps-1, and at each point run
     the witness protocol (three-readout Bell-diagonal form, normalized to the
     thermal amplitude) and the expansion-order correlation quantifiers."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     dir = dir or sample_direction(0)
     times, w_vals, i_vals, q_vals, c_vals, devs = [], [], [], [], [], []
     for n in range(n_steps):
@@ -481,7 +482,7 @@ def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
         rep = witness(state, dir, mode="circuit", normalization="thermal",
                       epsilon=params.epsilon, include_o4=False)
         dev = extract_deviation(state, params.epsilon)
-        corr = discord_epsilon(dev, opt)
+        corr = discord_epsilon(dev)
         times.append(t)
         w_vals.append(rep.w)
         i_vals.append(corr.mutual_info)

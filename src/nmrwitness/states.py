@@ -37,6 +37,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise NotAState(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NotAState("matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise NotAState("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -62,11 +64,13 @@ class DeviationState:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         d = np.array(self.delta, dtype=complex)
         if d.shape != (4, 4):
             raise ValueError(f"expected a 4x4 deviation matrix, got {d.shape}")
+        if not np.isfinite(d).all():
+            raise ValueError("deviation matrix has non-finite entries")
         if np.max(np.abs(d - d.conj().T)) > HERMITICITY_TOL:
             raise ValueError("deviation matrix is not Hermitian")
         if abs(np.trace(d)) > TRACE_TOL:

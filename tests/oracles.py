@@ -79,7 +79,8 @@ def _spinor_grid(n: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     from scipy.special import xlogy
 
-    return xlogy(np.maximum(p, 0.0), np.maximum(p, 0.0)) / np.log(2.0)
+    p = np.maximum(p, 0.0)
+    return xlogy(p, p) / np.log(2.0)
 
 
 def _entropy_along(d: np.ndarray, axis) -> np.ndarray:
@@ -123,10 +124,15 @@ def grid_search(mat: np.ndarray, kind: str, n: int = 64, block: int = 256):
         ub = spinors[s0:s1]
         left = np.einsum("psi,ijkl,psk->psjl", ub.conj(), m4, ub).reshape(-1, 4)
         d = (left @ right.T).real.reshape(s1 - s0, 2, n_dirs, 2)
+        # Summing the four outcome slices is much faster than a strided
+        # reduction over axes (1, 3).
         if kind == "expansion":
-            vals = 2 * (d**2).sum(axis=(1, 3)) - side_a[s0:s1, None] - side_b[None, :]
+            d2 = d**2
+            joint = d2[:, 0, :, 0] + d2[:, 0, :, 1] + d2[:, 1, :, 0] + d2[:, 1, :, 1]
+            vals = 2 * joint - side_a[s0:s1, None] - side_b[None, :]
         else:
-            h_joint = _entropy_along(d, (1, 3))
+            x = _xlog2x(d)
+            h_joint = -(x[:, 0, :, 0] + x[:, 0, :, 1] + x[:, 1, :, 0] + x[:, 1, :, 1])
             vals = side_a[s0:s1, None] + side_b[None, :] - h_joint
         flat = np.argmax(vals)
         p_loc, q = divmod(int(flat), n_dirs)

@@ -14,12 +14,11 @@ from nmrwitness import (
     extract_deviation,
     measure_map,
     measure_map_deviation,
-    mim_epsilon,
     mutual_information,
     mutual_information_epsilon,
     symmetric_discord,
 )
-from nmrwitness.correlations import _exact_objective, _epsilon_objective, pauli_coefficients
+from nmrwitness.correlations import _exact_objective, pauli_coefficients
 from nmrwitness.errors import OptimizerFailure
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, direction
 
@@ -100,8 +99,9 @@ class TestMeasureMap:
 
 
 class TestFastObjectives:
-    """The optimizer evaluates bases from Pauli coefficients; pin that route
-    to the definitional projector-sandwich evaluation."""
+    """The exact optimizer and the epsilon^2 closed form work from Pauli
+    coefficients; pin both routes to the definitional projector-sandwich
+    evaluation."""
 
     def test_exact_objective_matches_measured_entropy(self, rng):
         for _ in range(25):
@@ -116,15 +116,15 @@ class TestFastObjectives:
     def test_epsilon_objective_matches_measured_traces(self, rng):
         for _ in range(25):
             delta = random_traceless_hermitian(rng)
-            _, _, t = pauli_coefficients(delta)
-            basis = random_basis(rng)
-            na, nb = basis.direction_a(), basis.direction_b()
-            fast = float(_epsilon_objective(t, na, nb))
-            slow = measured_info_expansion(delta, basis.angles())
-            assert abs(fast - slow) < 1e-10
-            via_module = mim_epsilon(
-                DeviationState(delta=measure_map_deviation(delta, basis)))
-            assert abs(fast - via_module) < 1e-10
+            rep = discord_epsilon(DeviationState(delta=delta))
+            slow = measured_info_expansion(delta, rep.argmax_basis.angles())
+            assert abs(rep.classical - slow) < 1e-10
+            via_module = mutual_information_epsilon(
+                DeviationState(delta=measure_map_deviation(delta, rep.argmax_basis)))
+            assert abs(rep.classical - via_module) < 1e-10
+            for _ in range(200):
+                other = measured_info_expansion(delta, random_basis(rng).angles())
+                assert other <= rep.classical + 1e-10
 
 
 class TestExpansionValues:
@@ -140,15 +140,15 @@ class TestExpansionValues:
     def test_mim_qc_measured_zz(self):
         chi = measure_map_deviation(QC_DELTA, Z_BASIS)
         assert np.allclose(chi, -2 / 4 * np.kron(SIGMA_Z, SIGMA_Z), atol=1e-12)
-        assert abs(mim_epsilon(DeviationState(delta=chi)) - 2.0) < 1e-12
+        assert abs(mutual_information_epsilon(DeviationState(delta=chi)) - 2.0) < 1e-12
 
     def test_mim_cc_fixed_point(self):
         chi = measure_map_deviation(CC_DELTA, Z_BASIS)
         assert np.allclose(chi, CC_DELTA, atol=1e-12)
-        assert abs(mim_epsilon(DeviationState(delta=chi)) - 8.0) < 1e-12
+        assert abs(mutual_information_epsilon(DeviationState(delta=chi)) - 8.0) < 1e-12
 
     def test_mim_zero_for_measured_identity_deviation(self):
-        assert mim_epsilon(DeviationState(delta=np.zeros((4, 4)))) == 0
+        assert mutual_information_epsilon(DeviationState(delta=np.zeros((4, 4)))) == 0
 
 
 class TestDiscordEpsilon:
@@ -173,14 +173,47 @@ class TestDiscordEpsilon:
 
         dev = DeviationState(delta=thermal_deviation(SpinSystemParams()))
         rep = discord_epsilon(dev)
-        assert abs(rep.mutual_info) < 1e-9
-        assert abs(rep.quantum) < 1e-9
-        assert abs(rep.classical) < 1e-9
+        # T = 0 reports a zero triple in the z basis
+        assert (rep.mutual_info, rep.quantum, rep.classical) == (0.0, 0.0, 0.0)
+        assert rep.argmax_basis == Z_BASIS
 
     def test_deterministic_argmax(self):
         r1 = discord_epsilon(DeviationState(delta=QC_DELTA))
         r2 = discord_epsilon(DeviationState(delta=QC_DELTA))
         assert r1.argmax_basis == r2.argmax_basis
+
+    def test_tie_rule_quantum_correlated_z_basis(self):
+        # T = diag(2, 2, -2): every direction ties, z is taken.  The extracted
+        # deviation ties only up to its ~1e-11 rounding.
+        from nmrwitness.nmr import SpinSystemParams, prepare_state
+
+        params = SpinSystemParams()
+        extracted = extract_deviation(prepare_state("QC", params), params.epsilon)
+        for dev in (DeviationState(delta=QC_DELTA), extracted):
+            rep = discord_epsilon(dev)
+            assert rep.argmax_basis == Z_BASIS
+            assert abs(rep.classical - 2.0) < 1e-9
+
+    def test_tie_rule_fallback_axes(self):
+        xx, yy, zz = (np.kron(s, s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+        half_pi = np.pi / 2
+        # tied x-y plane: z projects to zero, x is taken
+        rep = discord_epsilon(DeviationState(delta=(2 * xx + 2 * yy + zz) / 4))
+        assert rep.argmax_basis == MeasurementBasis(half_pi, 0.0, half_pi, 0.0)
+        # single leading y axis: z and x project to zero, y is taken
+        rep = discord_epsilon(DeviationState(delta=(-3 * yy + zz) / 4))
+        assert rep.argmax_basis == MeasurementBasis(half_pi, half_pi, half_pi, half_pi)
+
+    def test_quantum_never_negative(self, rng):
+        deltas = [random_traceless_hermitian(rng) for _ in range(50)]
+        for _ in range(20):
+            spec = ClassicalSpec(probabilities=rng.dirichlet(np.ones(4)),
+                                 basis_a=(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)))
+            deltas.append(extract_deviation(classical_state(spec), 1.0).delta)
+        for delta in deltas:
+            rep = discord_epsilon(DeviationState(delta=delta))
+            assert rep.quantum >= 0.0
+            assert abs(rep.quantum + rep.classical - rep.mutual_info) < 1e-12
 
 
 class TestSymmetricDiscord:

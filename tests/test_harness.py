@@ -231,9 +231,25 @@ class TestCli:
         assert main(["fig2"]) == 4
 
     def test_optimizer_failure_exit_3(self, tmp_path):
+        # Only the exact discord searches, so exit 3 is reached through custom.
+        doc = tmp_path / "state.json"
+        doc.write_text(json.dumps({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimizer": {"maxiter": 1}}))
-        assert main(["fig2", "--config", str(cfg)]) == 3
+        assert main(["custom", str(doc), "--config", str(cfg)]) == 3
+
+    def test_non_finite_deviation_exit_2(self, tmp_path):
+        delta = np.zeros((4, 4))
+        delta[0, 0] = np.nan
+        doc = tmp_path / "nan.json"
+        doc.write_text(json.dumps({"epsilon": 1e-5, "delta_re": delta.tolist(),
+                                   "delta_im": np.zeros((4, 4)).tolist()}))
+        assert main(["custom", str(doc)]) == 2
+
+    def test_fig4_zero_steps_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_steps": 0}))
+        assert main(["fig4", "--config", str(cfg)]) == 2
 
     def test_multi_seed_direction_aggregation(self):
         cfg = ExperimentConfig(direction_seeds=(0, 1, 2, 3))

@@ -41,6 +41,12 @@ class TestDensityMatrix:
         with pytest.raises(NotAState):
             DensityMatrix(np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex))
 
+    def test_rejects_non_finite_entry(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] = np.nan
+        with pytest.raises(NotAState):
+            DensityMatrix(m)
+
     def test_matrix_is_immutable(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError):
@@ -136,6 +142,15 @@ class TestDeviation:
     def test_traceless_enforced(self):
         with pytest.raises(ValueError):
             DeviationState(delta=np.eye(4))
+
+    def test_non_finite_rejected(self):
+        delta = np.zeros((4, 4), dtype=complex)
+        delta[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            DeviationState(delta=delta)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                DeviationState(delta=np.zeros((4, 4)), epsilon=eps)
 
 
 class TestClassicalState:
