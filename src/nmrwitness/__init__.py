@@ -78,8 +78,10 @@ from .states import (
     compose_deviation,
     extract_deviation,
     from_bloch,
+    from_pauli_table,
     normalized_trace_distance,
     partial_trace,
+    pauli_table,
     state_from_json,
     state_to_json,
 )

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex
-from .pauli import AXES, IDENTITY_2, SIGMA_X, on_a, pauli_pair
-from .states import DensityMatrix, bloch_decompose
+from .pauli import AXES, IDENTITY_2, SIGMA_X, on_a
+from .states import DensityMatrix, pauli_table
 
 UNITARITY_TOL = 1e-12
 
@@ -57,6 +57,8 @@ class WitnessDirection:
             v = np.array(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
             if abs(v @ v - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be unit norm, |{name}|^2 = {v @ v}")
             v.flags.writeable = False
@@ -122,8 +124,8 @@ def readout_sigma_x_a(xi: DensityMatrix) -> float:
 
 def local_magnetizations(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors of the two qubits, (a, b)."""
-    spec, _ = bloch_decompose(rho)
-    return spec.a, spec.b
+    r = pauli_table(rho.matrix)
+    return r[1:, 0], r[0, 1:]
 
 
 def sample_direction(seed: int) -> WitnessDirection:
@@ -134,9 +136,12 @@ def sample_direction(seed: int) -> WitnessDirection:
     return WitnessDirection(z=z / np.linalg.norm(z), w=w / np.linalg.norm(w))
 
 
-def run_protocol(rho: DensityMatrix, dir: WitnessDirection) -> ProtocolReadout:
-    """Execute the three circuit runs plus the local O_4 read."""
-    states = tuple(protocol_state(rho, i) for i in (1, 2, 3))
+def run_protocol(rho: DensityMatrix, dir: WitnessDirection, step=None) -> ProtocolReadout:
+    """Execute the three circuit runs plus the local O_4 read; ``step(rho, i)``
+    realizes circuit step i (the ideal gates of ``protocol_state`` when None,
+    or a pulse-level realization)."""
+    step = step or protocol_state
+    states = tuple(step(rho, i) for i in (1, 2, 3))
     o123 = [readout_sigma_x_a(xi) for xi in states]
     a, b = local_magnetizations(rho)
     o4 = float(dir.z @ a + dir.w @ b)
@@ -144,9 +149,8 @@ def run_protocol(rho: DensityMatrix, dir: WitnessDirection) -> ProtocolReadout:
 
 
 def _direct_expectations(rho: DensityMatrix, dir: WitnessDirection) -> np.ndarray:
-    o123 = [rho.expectation(pauli_pair(i)) for i in (1, 2, 3)]
-    a, b = local_magnetizations(rho)
-    return np.array(o123 + [float(dir.z @ a + dir.w @ b)])
+    r = pauli_table(rho.matrix)
+    return np.append(np.diag(r)[1:], dir.z @ r[1:, 0] + dir.w @ r[0, 1:])
 
 
 @dataclass(frozen=True)

@@ -76,22 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _known_keys(overrides: dict, cls, where: str) -> dict:
+    """Return ``overrides`` after checking that every key names a field of
+    ``cls``, so a misspelt key fails instead of falling back to the default."""
+    unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys in --config: {', '.join(unknown)}")
+    return overrides
+
+
 def _config_from_args(args) -> ExperimentConfig:
     overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
 
-    param_fields = {f.name for f in dataclasses.fields(SpinSystemParams)}
-    param_overrides = {k: v for k, v in overrides.pop("params", {}).items()
-                       if k in param_fields}
+    param_overrides = _known_keys(overrides.pop("params", {}), SpinSystemParams, "params")
     if args.epsilon is not None:
         param_overrides["epsilon"] = args.epsilon
     params = dataclasses.replace(SpinSystemParams(), **param_overrides)
 
-    opt_fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
-    opt_overrides = {k: v for k, v in overrides.pop("optimizer", {}).items()
-                     if k in opt_fields}
+    opt_overrides = _known_keys(overrides.pop("optimizer", {}), OptimizerConfig, "optimizer")
     optimizer = dataclasses.replace(OptimizerConfig(), **opt_overrides)
 
     out_dir = args.out or os.environ.get(OUT_DIR_ENV)
@@ -106,8 +111,7 @@ def _config_from_args(args) -> ExperimentConfig:
         out_dir=out_dir,
         write_timing=args.timing,
     )
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = {k: v for k, v in overrides.items() if k in known}
+    extra = _known_keys(overrides, ExperimentConfig, "top-level")
     if "state_kinds" in extra:
         extra["state_kinds"] = tuple(extra["state_kinds"])
     if "direction_seeds" in extra:

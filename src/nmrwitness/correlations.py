@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import OptimizerFailure
-from .pauli import IDENTITY_2, SIGMA, direction
-from .states import DensityMatrix, DeviationState, partial_trace
+from .pauli import bloch_vector_to_op, direction
+from .states import DensityMatrix, DeviationState, partial_trace, pauli_table
 
 # Singular values of T within this fraction of s1 count as tied: deviations
 # extracted at epsilon = 1e-5 carry about 1e-11 of rounding.
@@ -44,7 +44,7 @@ class MeasurementBasis:
     def projectors(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Rank-1 projector pair (P_+, P_-) onto +/- the side's direction."""
         n = self.direction_a() if side == "a" else self.direction_b()
-        ns = n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2]
+        ns = bloch_vector_to_op(n)
         eye = np.eye(2, dtype=complex)
         return (eye + ns) / 2, (eye - ns) / 2
 
@@ -130,15 +130,11 @@ def measure_map(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
 
 # --- Pauli coefficients -----------------------------------------------------
 
-# s_mu x s_nu for mu, nu = 0..3 (s_0 = I), flattened mu-major to (16, 4, 4).
-_PAULI_BASIS = np.array([np.kron(p, q) for p in (IDENTITY_2, *SIGMA)
-                         for q in (IDENTITY_2, *SIGMA)])
-
 
 def pauli_coefficients(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local vectors and full correlation matrix of a two-qubit operator:
     a_i = tr(M s_i x I), b_i = tr(M I x s_i), T_ij = tr(M s_i x s_j)."""
-    r = np.einsum("kij,ji->k", _PAULI_BASIS, mat).real.reshape(4, 4)
+    r = pauli_table(mat)
     return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 

@@ -5,6 +5,7 @@ writes deterministic files (identical config and seed give byte-identical
 output; wall-clock timing is only written when explicitly requested).
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -13,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import (
-    local_magnetizations,
-    readout_sigma_x_a,
-    sample_direction,
-    witness,
-    witness_from_expectations,
-)
+from .circuit import run_protocol, sample_direction, witness, witness_from_expectations
 from .correlations import (
     OptimizerConfig,
     discord_epsilon,
@@ -33,6 +28,7 @@ from .nmr import (
     prepare_state,
     pulse_protocol_state,
 )
+from .pauli import bloch_vector_to_op
 from .states import (
     DensityMatrix,
     DeviationState,
@@ -110,8 +106,6 @@ def _small_rotation(rng: np.random.Generator, level: float) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     angle = rng.normal(0.0, level)
-    from .pauli import bloch_vector_to_op
-
     g = bloch_vector_to_op(axis)
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * g
 
@@ -146,22 +140,15 @@ def _witness_with_cross_check(state: DensityMatrix, config: ExperimentConfig,
     """Best witness over the configured direction seeds, cross-checking the
     circuit readouts against the direct expectations for every seed."""
     eps = config.params.epsilon
+    step = (functools.partial(pulse_protocol_state, params=config.params)
+            if config.pulse_level else None)
     best = None
     worst_gap = 0.0
     for s in config.seeds():
         direction = sample_direction(s)
-        if config.pulse_level:
-            o123 = [readout_sigma_x_a(pulse_protocol_state(state, i, config.params))
-                    for i in (1, 2, 3)]
-            a, b = local_magnetizations(state)
-            o = np.array(o123 + [float(direction.z @ a + direction.w @ b)])
-            rep = witness_from_expectations(
-                o, mode="circuit", normalization=config.normalization,
-                epsilon=eps, include_o4=include_o4, seed=s)
-        else:
-            rep = witness(state, direction, mode="circuit",
-                          normalization=config.normalization, epsilon=eps,
-                          include_o4=include_o4, seed=s)
+        rep = witness_from_expectations(
+            run_protocol(state, direction, step).o, mode="circuit",
+            normalization=config.normalization, epsilon=eps, include_o4=include_o4, seed=s)
         direct = witness(state, direction, mode="direct",
                          normalization=config.normalization, epsilon=eps,
                          include_o4=include_o4, seed=s)

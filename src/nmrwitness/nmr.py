@@ -28,6 +28,9 @@ from .states import (
     DeviationState,
     compose_deviation,
     extract_deviation,
+    from_pauli_table,
+    pauli_table,
+    trace_norm,
 )
 
 
@@ -80,6 +83,8 @@ class PulseEvent:
                 raise ValueError(f"unknown channel {self.channel!r}")
             if not 0.0 < self.angle <= 2 * np.pi:
                 raise ValueError(f"rf angle must be in (0, 2pi], got {self.angle}")
+            if self.duration is not None and not self.duration > 0:
+                raise ValueError(f"rf duration must be positive, got {self.duration}")
         if self.kind == "delay" and self.j_units < 0:
             raise ValueError("delay must be nonnegative")
 
@@ -281,47 +286,27 @@ def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
 # --- relaxation ---------------------------------------------------------------
 
 
-def _apply_kraus(m: np.ndarray, kraus: list) -> np.ndarray:
-    out = np.zeros_like(m)
-    for k in kraus:
-        out += k @ m @ k.conj().T
-    return out
-
-
-def _qubit_relax_kraus(t: float, t1: float, t2s: float, z_eq: float) -> list:
-    """Single-qubit Kraus set: generalized amplitude damping toward the
-    thermal population (1 + z_eq)/2 at rate 1/T1, plus the extra dephasing
-    that makes the total transverse decay rate exactly 1/T2*."""
-    gam = 1.0 - math.exp(-t / t1)
-    p = (1.0 + z_eq) / 2.0
-    root = math.sqrt(1.0 - gam)
-    gad = [
-        math.sqrt(p) * np.array([[1, 0], [0, root]], dtype=complex),
-        math.sqrt(p) * np.array([[0, math.sqrt(gam)], [0, 0]], dtype=complex),
-        math.sqrt(1 - p) * np.array([[root, 0], [0, 1]], dtype=complex),
-        math.sqrt(1 - p) * np.array([[0, 0], [math.sqrt(gam), 0]], dtype=complex),
-    ]
-    rate_phi = 1.0 / t2s - 1.0 / (2.0 * t1)
-    f = math.exp(-t * rate_phi)
-    pd = [
-        math.sqrt((1 + f) / 2) * IDENTITY_2,
-        math.sqrt((1 - f) / 2) * SIGMA_Z.astype(complex),
-    ]
-    return [kp @ kg for kp in pd for kg in gad]
+def _qubit_relax_map(t: float, t1: float, t2s: float, z_eq: float) -> np.ndarray:
+    """Affine map on one qubit's Pauli components (1, x, y, z): generalized
+    amplitude damping toward the thermal polarization z_eq at rate 1/T1, plus
+    the extra dephasing that makes the total transverse decay rate exactly
+    1/T2*."""
+    f = math.exp(-t / t2s)
+    e1 = math.exp(-t / t1)
+    return np.array([[1.0, 0, 0, 0], [0, f, 0, 0], [0, 0, f, 0], [(1.0 - e1) * z_eq, 0, 0, e1]])
 
 
 def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatrix:
-    """Independent per-qubit T1/T2* relaxation for a time t."""
+    """Independent per-qubit T1/T2* relaxation for a time t, applied to the
+    Pauli table as R' = M_H R M_C^T."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return rho
     eps = params.epsilon
-    kraus_h = _qubit_relax_kraus(t, params.t1_h, params.t2s_h, 2 * eps)
-    kraus_c = _qubit_relax_kraus(t, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
-    m = _apply_kraus(rho.matrix, [on_a(k) for k in kraus_h])
-    m = _apply_kraus(m, [on_b(k) for k in kraus_c])
-    return DensityMatrix(m)
+    m_h = _qubit_relax_map(t, params.t1_h, params.t2s_h, 2 * eps)
+    m_c = _qubit_relax_map(t, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
+    return DensityMatrix(from_pauli_table(m_h @ pauli_table(rho.matrix) @ m_c.T))
 
 
 # --- state preparation --------------------------------------------------------
@@ -438,7 +423,7 @@ def prepare_state(kind: str, params: SpinSystemParams | None = None,
     if kind == "QC":
         events = events + pseudo_epr_events()
     delta = _pulse_level_deviation(events, params, model)
-    dist = float(np.abs(np.linalg.eigvalsh(delta - _IDEAL_DEVIATIONS[kind])).sum() / 2)
+    dist = trace_norm(delta - _IDEAL_DEVIATIONS[kind]) / 2
     if dist > PULSE_PREP_TOLERANCE:
         raise SequenceMismatch(
             f"pulse-level {kind} preparation misses target by {dist:.4f}"

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDistribution, EpsilonMismatch, NotAState
-from .pauli import IDENTITY_4, SIGMA, on_a, on_b
+from .pauli import IDENTITY_2, IDENTITY_4, SIGMA
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -19,6 +19,15 @@ TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 
 DEFAULT_EPSILON = 1e-5
+
+# s_mu x s_nu for mu, nu = 0..3 (s_0 = I), flattened mu-major to (16, 4, 4).
+_PAULI_BASIS = np.array([np.kron(p, q) for p in (IDENTITY_2, *SIGMA)
+                        for q in (IDENTITY_2, *SIGMA)])
+# Row k is the transposed basis element k, flattened: one matmul with a
+# flattened matrix gives all 16 traces.  The matmul, unlike an einsum over the
+# (16, 4, 4) basis, leaves exact zeros where the traces cancel (a_z of the
+# ideal QC state).
+_TRACE_ROWS = _PAULI_BASIS.transpose(0, 2, 1).reshape(16, 16)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -114,6 +123,8 @@ class ClassicalSpec:
         p = np.array(self.probabilities, dtype=float).reshape(-1)
         if p.shape != (4,):
             raise BadDistribution("need exactly four probabilities")
+        if not np.isfinite(p).all():
+            raise BadDistribution(f"non-finite probability in {p}")
         if np.any(p < 0):
             raise BadDistribution(f"negative probability in {p}")
         if abs(p.sum() - 1.0) > TRACE_TOL:
@@ -124,17 +135,26 @@ class ClassicalSpec:
         object.__setattr__(self, "basis_b", (float(self.basis_b[0]), float(self.basis_b[1])))
 
 
+def pauli_table(m: np.ndarray) -> np.ndarray:
+    """Real (4, 4) table R[mu, nu] = tr(M s_mu x s_nu) of a Hermitian
+    two-qubit operator (s_0 = I): R[1:, 0] and R[0, 1:] are the local
+    vectors of qubits a and b, R[1:, 1:] the correlation matrix."""
+    return (_TRACE_ROWS @ np.ravel(m)).real.reshape(4, 4)
+
+
+def from_pauli_table(r: np.ndarray) -> np.ndarray:
+    """Inverse of ``pauli_table``: M = sum_{mu,nu} R[mu, nu] s_mu x s_nu / 4."""
+    return (np.ravel(r) @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4) / 4.0
+
+
 def from_bloch(spec: BlochSpec) -> DensityMatrix:
     """Compose the density matrix for a diagonal-correlation Bloch spec.
 
     Raises NotAState if the coefficients do not describe a positive operator.
     """
-    m = IDENTITY_4.copy()
-    for i in range(3):
-        m += spec.a[i] * on_a(SIGMA[i])
-        m += spec.b[i] * on_b(SIGMA[i])
-        m += spec.c[i] * np.kron(SIGMA[i], SIGMA[i])
-    return DensityMatrix(m / 4.0)
+    r = np.diag(np.concatenate(([1.0], spec.c)))
+    r[1:, 0], r[0, 1:] = spec.a, spec.b
+    return DensityMatrix(from_pauli_table(r))
 
 
 def bloch_decompose(rho: DensityMatrix) -> tuple[BlochSpec, np.ndarray]:
@@ -143,13 +163,9 @@ def bloch_decompose(rho: DensityMatrix) -> tuple[BlochSpec, np.ndarray]:
     Returns (spec, corr) where spec.c is the diagonal of corr.  Inverse of
     ``from_bloch`` whenever the off-diagonal correlations vanish.
     """
-    m = rho.matrix
-    a = np.array([np.trace(m @ on_a(s)).real for s in SIGMA])
-    b = np.array([np.trace(m @ on_b(s)).real for s in SIGMA])
-    corr = np.array(
-        [[np.trace(m @ np.kron(si, sj)).real for sj in SIGMA] for si in SIGMA]
-    )
-    return BlochSpec(a=a, b=b, c=np.diag(corr).copy()), corr
+    r = pauli_table(rho.matrix)
+    corr = r[1:, 1:]
+    return BlochSpec(a=r[1:, 0], b=r[0, 1:], c=np.diag(corr)), corr
 
 
 def compose_deviation(dev: DeviationState) -> DensityMatrix:

@@ -1,9 +1,11 @@
-"""Brute-force measurement-basis grid oracles used by the test suite.
+"""Brute-force oracles used by the test suite.
 
 Everything here evaluates the projective-measurement map from first
 principles: explicit spinors for each grid direction, explicit projector
 sandwiches, explicit partial traces.  No code is shared with the production
-optimizer, which works from Pauli coefficients.
+optimizer, which works from Pauli coefficients.  Likewise the relaxation
+oracle is the explicit Kraus sum of the channel, while the production
+``relax`` is an affine map on the Pauli table.
 """
 
 import numpy as np
@@ -141,3 +143,36 @@ def grid_search(mat: np.ndarray, kind: str, n: int = 64, block: int = 256):
             best_pq = (s0 + p_loc, q)
     p, q = best_pq
     return best_val, (angles[p, 0], angles[p, 1], angles[q, 0], angles[q, 1])
+
+
+# --- relaxation channel -------------------------------------------------------
+
+
+def relax_kraus_set(t: float, t1: float, t2s: float, z_eq: float) -> list:
+    """Kraus operators of one qubit's T1/T2* relaxation for a time t:
+    generalized amplitude damping with decay probability 1 - exp(-t/T1)
+    toward the |0> population (1 + z_eq)/2, then the pure dephasing at rate
+    1/T2* - 1/(2 T1) that brings the transverse decay rate to 1/T2*."""
+    gamma = 1.0 - np.exp(-t / t1)
+    p = (1.0 + z_eq) / 2.0
+    k, g = np.sqrt(1.0 - gamma), np.sqrt(gamma)
+    damping = [
+        np.sqrt(p) * np.array([[1, 0], [0, k]], dtype=complex),
+        np.sqrt(p) * np.array([[0, g], [0, 0]], dtype=complex),
+        np.sqrt(1 - p) * np.array([[k, 0], [0, 1]], dtype=complex),
+        np.sqrt(1 - p) * np.array([[0, 0], [g, 0]], dtype=complex),
+    ]
+    lam = np.exp(-t * (1.0 / t2s - 1.0 / (2.0 * t1)))
+    dephasing = [np.sqrt((1 + lam) / 2) * np.eye(2), np.sqrt((1 - lam) / 2) * np.diag([1.0, -1.0])]
+    return [d @ a for d in dephasing for a in damping]
+
+
+def relax_kraus(rho: np.ndarray, t: float, qubit_a: tuple, qubit_b: tuple) -> np.ndarray:
+    """Two-qubit relaxation as the Kraus sum over all products K_a x K_b;
+    ``qubit_a`` and ``qubit_b`` are (T1, T2*, z_eq) triples."""
+    out = np.zeros((4, 4), dtype=complex)
+    for ka in relax_kraus_set(t, *qubit_a):
+        for kb in relax_kraus_set(t, *qubit_b):
+            k = np.kron(ka, kb)
+            out += k @ rho @ k.conj().T
+    return out

@@ -9,6 +9,7 @@ from nmrwitness import (
     ClassicalSpec,
     DensityMatrix,
     Gate,
+    WitnessDirection,
     classical_state,
     cnot,
     from_bloch,
@@ -151,6 +152,12 @@ class TestSampleDirection:
     def test_no_collisions_across_seeds(self):
         seen = {tuple(np.round(sample_direction(s).z, 12)) for s in range(1000)}
         assert len(seen) == 1000
+
+    def test_direction_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            WitnessDirection(z=[np.nan, 0, 0], w=[0, 0, 1])
+        with pytest.raises(ValueError, match="non-finite"):
+            WitnessDirection(z=[0, 0, 1], w=[np.inf, 0, 0])
 
 
 class TestWitness:

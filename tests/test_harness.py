@@ -251,6 +251,17 @@ class TestCli:
         cfg.write_text(json.dumps({"n_steps": 0}))
         assert main(["fig4", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"n_step": 3}, "n_step"),
+        ({"params": {"t2_h": 0.1}}, "t2_h"),
+        ({"optimizer": {"max_iter": 1}}, "max_iter"),
+    ])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["fig4", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_multi_seed_direction_aggregation(self):
         cfg = ExperimentConfig(direction_seeds=(0, 1, 2, 3))
         report = run_fig2(cfg)

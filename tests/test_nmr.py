@@ -49,6 +49,7 @@ from nmrwitness.circuit import cnot
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
 
 from conftest import ket_projector, random_density_matrix, triplet
+from oracles import relax_kraus
 
 PARAMS = SpinSystemParams()
 
@@ -79,6 +80,12 @@ class TestPulseEvent:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PulseEvent(kind="loop")
+
+    @pytest.mark.parametrize("duration", [0.0, -1e-6, float("nan")])
+    def test_rejects_nonpositive_duration(self, duration):
+        doc = [{"kind": "rf", "channel": "H", "angle": np.pi / 2, "duration": duration}]
+        with pytest.raises(ValueError, match="duration"):
+            load_pulse_sequence(doc)
 
     def test_json_round_trip(self):
         events = [rf("C", np.pi / 2, np.pi), delay(1.5), PulseEvent(kind="gradient")]
@@ -260,6 +267,21 @@ class TestRelax:
         combined = relax(rho, 0.3, PARAMS)
         stepped = relax(relax(rho, 0.1, PARAMS), 0.2, PARAMS)
         assert np.allclose(combined.matrix, stepped.matrix, atol=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        SpinSystemParams(t1_h=1.3, t1_c=4.0, t2s_h=0.05, t2s_c=0.9, epsilon=0.2, gamma_ratio=2.5),
+    ])
+    def test_matches_kraus_oracle(self, params, rng):
+        # independent oracle: the damping + dephasing Kraus sum
+        eps = params.epsilon
+        qubit_h = (params.t1_h, params.t2s_h, 2 * eps)
+        qubit_c = (params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            for t in (0.01, 0.3, 2.0):
+                want = relax_kraus(rho.matrix, t, qubit_h, qubit_c)
+                assert np.max(np.abs(relax(rho, t, params).matrix - want)) <= 1e-15
 
     def test_channel_validity_random_states(self, rng):
         for _ in range(50):

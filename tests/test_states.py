@@ -15,8 +15,10 @@ from nmrwitness import (
     compose_deviation,
     extract_deviation,
     from_bloch,
+    from_pauli_table,
     normalized_trace_distance,
     partial_trace,
+    pauli_table,
     state_from_json,
     state_to_json,
 )
@@ -108,6 +110,14 @@ class TestBlochDecompose:
         out, _ = bloch_decompose(rho)
         assert np.allclose(out.c, c, atol=1e-12)
 
+    def test_pauli_table_matches_traces_and_inverts(self, rng):
+        # direct trace oracle for all 16 entries of a state with every entry nonzero
+        m = random_density_matrix(rng).matrix
+        ops = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+        want = [[np.trace(m @ np.kron(p, q)).real for q in ops] for p in ops]
+        assert np.allclose(pauli_table(m), want, atol=1e-14)
+        assert np.allclose(from_pauli_table(pauli_table(m)), m, atol=1e-14)
+
 
 class TestDeviation:
     def test_zero_deviation_is_maximally_mixed(self):
@@ -183,6 +193,8 @@ class TestClassicalState:
             ClassicalSpec(probabilities=[0.7, 0.7, -0.2, -0.2])
         with pytest.raises(BadDistribution):
             ClassicalSpec(probabilities=[0.3, 0.3, 0.3, 0.3])
+        with pytest.raises(BadDistribution):
+            ClassicalSpec(probabilities=[np.nan, 0.5, 0.25, 0.25])
 
 
 class TestPartialTrace:
