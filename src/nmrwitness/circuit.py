@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadIndex
 from .pauli import AXES, IDENTITY_2, SIGMA_X, on_a
-from .states import DensityMatrix, pauli_table
+from .states import DensityMatrix, pauli_table, validate_states
 
 UNITARITY_TOL = 1e-12
 
@@ -67,21 +67,27 @@ class WitnessDirection:
 
 @dataclass(frozen=True)
 class ProtocolReadout:
-    """Expectations <O_1>..<O_4> and the three post-circuit states."""
+    """Expectations <O_1>..<O_4> and the three post-circuit states, of one
+    state (``o`` of shape (4,), ``states`` the (3, 4, 4) matrices xi_1..xi_3)
+    or of a stack of states (shapes (..., 4) and (..., 3, 4, 4))."""
 
     o: np.ndarray
-    states: tuple
+    states: np.ndarray
 
     # |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
     _BOUNDS = (1.0, 1.0, 1.0, 2.0)
 
     def __post_init__(self):
         v = np.array(self.o, dtype=float)
-        for value, bound in zip(v, self._BOUNDS):
-            if abs(value) > bound + 1e-9:
-                raise ValueError(f"readout {value} exceeds its bound {bound}")
+        over = np.abs(v) > np.array(self._BOUNDS) + 1e-9
+        if over.any():
+            k = np.unravel_index(int(np.argmax(over)), over.shape)
+            raise ValueError(f"readout {v[k]} exceeds its bound {self._BOUNDS[k[-1]]}")
         v.flags.writeable = False
         object.__setattr__(self, "o", v)
+        xi = np.array(self.states, dtype=complex)
+        xi.flags.writeable = False
+        object.__setattr__(self, "states", xi)
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -108,24 +114,46 @@ def cnot() -> Gate:
     return Gate(u, label="CNOT(a->b)")
 
 
+def _step_unitary(i: int) -> np.ndarray:
+    axis, angle = PROTOCOL_ROTATIONS[i]
+    u = cnot().unitary
+    return u if axis is None else u @ pair_rotation(axis, angle).unitary
+
+
+# U_i = CNOT . (R_i x R_i) for steps i = 1, 2, 3, stacked (3, 4, 4), and the
+# sigma_x x I readout observable.  Constants: the tests check each U_i for
+# unitarity once instead of every call.
+STEP_UNITARIES = np.array([_step_unitary(i) for i in (1, 2, 3)])
+STEP_UNITARIES.flags.writeable = False
+_STEP_UNITARIES_DAG = STEP_UNITARIES.conj().swapaxes(-1, -2)
+_SIGMA_X_A = on_a(SIGMA_X)
+
+
 def protocol_state(rho: DensityMatrix, i: int) -> DensityMatrix:
     """xi_i = CNOT . R_i rho R_i^dag . CNOT, the state read out at step i."""
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
-    axis, angle = PROTOCOL_ROTATIONS[i]
-    state = rho if axis is None else pair_rotation(axis, angle).apply(rho)
-    return cnot().apply(state)
+    return DensityMatrix(STEP_UNITARIES[i - 1] @ rho.matrix @ _STEP_UNITARIES_DAG[i - 1])
+
+
+def _sigma_x_a(m: np.ndarray) -> np.ndarray:
+    return np.trace(m @ _SIGMA_X_A, axis1=-2, axis2=-1).real
 
 
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
     """x-magnetization of qubit a, tr(xi . sigma_x x I)."""
-    return xi.expectation(on_a(SIGMA_X))
+    return float(_sigma_x_a(xi.matrix))
 
 
 def local_magnetizations(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors of the two qubits, (a, b)."""
     r = pauli_table(rho.matrix)
     return r[1:, 0], r[0, 1:]
+
+
+def _o4(r: np.ndarray, dir: WitnessDirection) -> np.ndarray:
+    """<O_4> = z.a + w.b from a Pauli table or a (..., 4, 4) stack of them."""
+    return (r[..., None, 1:, 0] @ dir.z)[..., 0] + (r[..., None, 0, 1:] @ dir.w)[..., 0]
 
 
 def sample_direction(seed: int) -> WitnessDirection:
@@ -137,20 +165,29 @@ def sample_direction(seed: int) -> WitnessDirection:
 
 
 def run_protocol(rho: DensityMatrix, dir: WitnessDirection, step=None) -> ProtocolReadout:
-    """Execute the three circuit runs plus the local O_4 read; ``step(rho, i)``
-    realizes circuit step i (the ideal gates of ``protocol_state`` when None,
-    or a pulse-level realization)."""
-    step = step or protocol_state
-    states = tuple(step(rho, i) for i in (1, 2, 3))
-    o123 = [readout_sigma_x_a(xi) for xi in states]
-    a, b = local_magnetizations(rho)
-    o4 = float(dir.z @ a + dir.w @ b)
-    return ProtocolReadout(o=np.array(o123 + [o4]), states=states)
+    """Execute the three circuit runs plus the local O_4 read.  ``step(rho, i)``
+    realizes circuit step i (a pulse-level realization); without it the
+    ideal circuit runs as ``protocol_readout``."""
+    if step is None:
+        return protocol_readout(rho.matrix, dir)
+    states = np.array([step(rho, i).matrix for i in (1, 2, 3)])
+    o4 = _o4(pauli_table(rho.matrix), dir)
+    return ProtocolReadout(o=np.append(_sigma_x_a(states), o4), states=states)
+
+
+def protocol_readout(m: np.ndarray, dir: WitnessDirection) -> ProtocolReadout:
+    """Ideal-circuit readout of one validated density matrix (4, 4) or of a
+    stack of them (..., 4, 4): every xi_i = U_i rho U_i^dag of the stack is
+    formed at once, validated as one stack and read through
+    tr(xi . sigma_x x I); O_4 comes from the local magnetizations."""
+    xi = validate_states(STEP_UNITARIES @ np.asarray(m)[..., None, :, :] @ _STEP_UNITARIES_DAG)
+    o = np.concatenate([_sigma_x_a(xi), _o4(pauli_table(m), dir)[..., None]], axis=-1)
+    return ProtocolReadout(o=o, states=xi)
 
 
 def _direct_expectations(rho: DensityMatrix, dir: WitnessDirection) -> np.ndarray:
     r = pauli_table(rho.matrix)
-    return np.append(np.diag(r)[1:], dir.z @ r[1:, 0] + dir.w @ r[0, 1:])
+    return np.append(np.diag(r)[1:], _o4(r, dir))
 
 
 @dataclass(frozen=True)
@@ -184,26 +221,41 @@ def witness_from_expectations(
     """Form W from a measured (o1, o2, o3, o4) vector.
 
     ``normalization='thermal'`` divides every expectation by the thermal
-    hydrogen magnetization 2*epsilon before forming the products, matching
-    spectra normalized against the equilibrium reference.  With
-    ``include_o4=False`` the O_4 cross terms are dropped, which is the
-    three-measurement protocol actually run on Bell-diagonal states (where
-    <O_4> vanishes identically).
+    hydrogen magnetization 2*epsilon (positive and finite) before forming
+    the products, matching spectra normalized against the equilibrium
+    reference.  With ``include_o4=False`` the O_4 cross terms are dropped,
+    which is the three-measurement protocol actually run on Bell-diagonal
+    states (where <O_4> vanishes identically).
     """
+    o, w = witness_sum(o, normalization, epsilon, include_o4)
+    return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
+
+
+def witness_sum(
+    o: np.ndarray,
+    normalization: str = "raw",
+    epsilon: float | None = None,
+    include_o4: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized readouts and W = sum_{i<j} |o_i o_j| for one readout
+    vector (4,) or a stack of them (..., 4); see
+    ``witness_from_expectations`` for the options."""
     o = np.array(o, dtype=float)
     if normalization == "thermal":
         if epsilon is None:
             raise ValueError("thermal normalization needs epsilon")
+        if not (epsilon > 0 and np.isfinite(epsilon)):
+            raise ValueError(f"thermal normalization needs a positive finite epsilon, got {epsilon}")
         o = o / (2.0 * epsilon)
     elif normalization != "raw":
         raise ValueError(f"unknown normalization {normalization!r}")
 
     n_obs = 4 if include_o4 else 3
-    w = 0.0
+    w = np.zeros(o.shape[:-1])
     for i in range(n_obs):
         for j in range(i + 1, n_obs):
-            w += abs(o[i] * o[j])
-    return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
+            w = w + np.abs(o[..., i] * o[..., j])
+    return o, w
 
 
 def witness(

@@ -141,11 +141,29 @@ def pauli_coefficients(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 # --- epsilon^2 expansion: closed form from T -------------------------------
 
 
+def _epsilon_terms(delta: np.ndarray):
+    """T, its left singular vectors and singular values, and the (..., 3)
+    triples (I, Q, C) for a deviation matrix or a (..., 4, 4) stack of them,
+    from one batched SVD."""
+    t = pauli_table(delta)[..., 1:, 1:]
+    u, s, _ = np.linalg.svd(t)
+    iqc = np.stack([np.sum(t * t, axis=(-2, -1)) / 2.0,
+                    (s[..., 1] ** 2 + s[..., 2] ** 2) / 2.0,
+                    s[..., 0] ** 2 / 2.0], axis=-1)
+    return t, u, s, iqc
+
+
+def epsilon_correlations(delta: np.ndarray) -> np.ndarray:
+    """Leading-order (I, Q, C) of ``discord_epsilon`` for each deviation
+    matrix of a (..., 4, 4) stack, as a (..., 3) array in units of
+    (epsilon^2/ln2) bit (no measurement basis)."""
+    return _epsilon_terms(delta)[3]
+
+
 def mutual_information_epsilon(dev: DeviationState) -> float:
     """Leading-order mutual information ||T||_F^2 / 2, in units of
     (epsilon^2/ln2) bit; the local terms of the deviation cancel."""
-    _, _, t = pauli_coefficients(dev.delta)
-    return float(np.sum(t * t)) / 2.0
+    return float(epsilon_correlations(dev.delta)[0])
 
 
 def discord_epsilon(dev: DeviationState) -> CorrelationReport:
@@ -158,8 +176,7 @@ def discord_epsilon(dev: DeviationState) -> CorrelationReport:
     projection onto the tied left subspace of the first of z, x, y that does
     not vanish, nb is along T^T na, and T = 0 reports the z basis.
     """
-    _, _, t = pauli_coefficients(dev.delta)
-    u, s, _ = np.linalg.svd(t)
+    t, u, s, (i, q, c) = _epsilon_terms(dev.delta)
     na = nb = _TIE_AXES[0]
     if s[0] > 0.0:
         tied = u[:, s >= s[0] * (1.0 - TIE_TOL)]
@@ -171,9 +188,9 @@ def discord_epsilon(dev: DeviationState) -> CorrelationReport:
         nb = t.T @ na
         nb = nb / np.linalg.norm(nb)
     return CorrelationReport(
-        mutual_info=float(np.sum(t * t)) / 2.0,
-        quantum=float(s[1] ** 2 + s[2] ** 2) / 2.0,
-        classical=float(s[0] ** 2) / 2.0,
+        mutual_info=float(i),
+        quantum=float(q),
+        classical=float(c),
         units="epsilon2-bits",
         argmax_basis=MeasurementBasis(*_canonical_angles(na), *_canonical_angles(nb)),
     )

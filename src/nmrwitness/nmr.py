@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .circuit import WitnessDirection, cnot, sample_direction, witness
-from .correlations import discord_epsilon
+from .circuit import WitnessDirection, cnot, protocol_readout, sample_direction, witness_sum
+from .correlations import epsilon_correlations
 from .errors import BadIndex, SequenceMismatch, UnknownKind
 from .pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b
 from .states import (
@@ -28,9 +28,11 @@ from .states import (
     DeviationState,
     compose_deviation,
     extract_deviation,
+    extract_deviations,
     from_pauli_table,
     pauli_table,
     trace_norm,
+    validate_states,
 )
 
 
@@ -286,27 +288,43 @@ def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
 # --- relaxation ---------------------------------------------------------------
 
 
-def _qubit_relax_map(t: float, t1: float, t2s: float, z_eq: float) -> np.ndarray:
-    """Affine map on one qubit's Pauli components (1, x, y, z): generalized
-    amplitude damping toward the thermal polarization z_eq at rate 1/T1, plus
-    the extra dephasing that makes the total transverse decay rate exactly
-    1/T2*."""
-    f = math.exp(-t / t2s)
-    e1 = math.exp(-t / t1)
-    return np.array([[1.0, 0, 0, 0], [0, f, 0, 0], [0, 0, f, 0], [(1.0 - e1) * z_eq, 0, 0, e1]])
+def _qubit_relax_maps(times: np.ndarray, t1: float, t2s: float, z_eq: float) -> np.ndarray:
+    """(N, 4, 4) affine maps on one qubit's Pauli components (1, x, y, z):
+    generalized amplitude damping toward the thermal polarization z_eq at
+    rate 1/T1, plus the extra dephasing that makes the total transverse decay
+    rate exactly 1/T2*."""
+    # math.exp: numpy's vectorized exp differs from it in the last bit for
+    # about one argument in twenty.
+    f = np.array([math.exp(-t / t2s) for t in times])
+    e1 = np.array([math.exp(-t / t1) for t in times])
+    m = np.zeros((len(times), 4, 4))
+    m[:, 0, 0] = 1.0
+    m[:, 1, 1] = m[:, 2, 2] = f
+    m[:, 3, 0] = (1.0 - e1) * z_eq
+    m[:, 3, 3] = e1
+    return m
+
+
+def _relaxed(m: np.ndarray, times: np.ndarray, params: SpinSystemParams) -> np.ndarray:
+    """The 4x4 matrix m relaxed for each time of ``times``, as one (N, 4, 4)
+    stack: R' = M_H(t) R M_C(t)^T on the Pauli table, and m itself at t = 0."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0):
+        raise ValueError(f"t must be nonnegative, got {times}")
+    eps = params.epsilon
+    m_h = _qubit_relax_maps(times, params.t1_h, params.t2s_h, 2 * eps)
+    m_c = _qubit_relax_maps(times, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
+    out = from_pauli_table(m_h @ pauli_table(m) @ m_c.swapaxes(-1, -2))
+    out[times == 0] = m
+    return out
 
 
 def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatrix:
     """Independent per-qubit T1/T2* relaxation for a time t, applied to the
     Pauli table as R' = M_H R M_C^T."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if t == 0:
         return rho
-    eps = params.epsilon
-    m_h = _qubit_relax_map(t, params.t1_h, params.t2s_h, 2 * eps)
-    m_c = _qubit_relax_map(t, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
-    return DensityMatrix(from_pauli_table(m_h @ pauli_table(rho.matrix) @ m_c.T))
+    return DensityMatrix(_relaxed(rho.matrix, [t], params)[0])
 
 
 # --- state preparation --------------------------------------------------------
@@ -456,31 +474,30 @@ def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
                    dir: WitnessDirection | None = None) -> DynamicsSeries:
     """Relax for t_n = n * delta_t, n = 0..n_steps-1, and at each point run
     the witness protocol (three-readout Bell-diagonal form, normalized to the
-    thermal amplitude) and the expansion-order correlation quantifiers."""
+    thermal amplitude) and the expansion-order correlation quantifiers.
+
+    All steps form one stack: one relaxation of the Pauli tables, one
+    circuit readout and one batched SVD, with each check (states, post-circuit
+    states, readout bounds, deviations) run once over the stack.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    if not (delta_t > 0 and math.isfinite(delta_t)):
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     dir = dir or sample_direction(0)
-    times, w_vals, i_vals, q_vals, c_vals, devs = [], [], [], [], [], []
-    for n in range(n_steps):
-        t = n * delta_t
-        state = relax(rho0, t, params)
-        rep = witness(state, dir, mode="circuit", normalization="thermal",
-                      epsilon=params.epsilon, include_o4=False)
-        dev = extract_deviation(state, params.epsilon)
-        corr = discord_epsilon(dev)
-        times.append(t)
-        w_vals.append(rep.w)
-        i_vals.append(corr.mutual_info)
-        q_vals.append(corr.quantum)
-        c_vals.append(corr.classical)
-        devs.append(dev)
+    times = np.arange(n_steps) * delta_t
+    states = validate_states(_relaxed(rho0.matrix, times, params))
+    _, w = witness_sum(protocol_readout(states, dir).o, normalization="thermal",
+                          epsilon=params.epsilon, include_o4=False)
+    deltas = extract_deviations(states, params.epsilon)
+    iqc = epsilon_correlations(deltas)
     return DynamicsSeries(
-        times=np.array(times),
-        witness_values=np.array(w_vals),
-        mutual_info=np.array(i_vals),
-        quantum=np.array(q_vals),
-        classical=np.array(c_vals),
-        deviations=tuple(devs),
+        times=times,
+        witness_values=w,
+        mutual_info=iqc[:, 0],
+        quantum=iqc[:, 1],
+        classical=iqc[:, 2],
+        deviations=DeviationState.views(deltas, params.epsilon),
     )
 
 

@@ -36,6 +36,60 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _first_bad(bad: np.ndarray):
+    """Index of the first flagged member of a stack (() for a single
+    matrix), or None when no member is flagged."""
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def _where(k: tuple) -> str:
+    k = tuple(int(i) for i in k)
+    return f" (matrix {k[0] if len(k) == 1 else k} of the stack)" if k else ""
+
+
+def _hermitian_stack(m: np.ndarray, error: type, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checks shared by both validators: a (..., 4, 4) stack, every member
+    finite and Hermitian.  Returns the complex stack and its traces."""
+    m = np.array(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise error(f"expected a 4x4 {name}, got shape {m.shape}")
+    if (k := _first_bad(~np.isfinite(m).all(axis=(-2, -1)))) is not None:
+        raise error(f"{name} has non-finite entries" + _where(k))
+    herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if (k := _first_bad(herm > HERMITICITY_TOL)) is not None:
+        raise error(f"{name} is not Hermitian" + _where(k))
+    return m, np.trace(m, axis1=-2, axis2=-1)
+
+
+def validate_states(m: np.ndarray) -> np.ndarray:
+    """Check that every matrix of a (..., 4, 4) stack is a density matrix:
+    finite, Hermitian, unit trace and positive semidefinite, each to the
+    module tolerances.  Returns the stack as a complex array; raises
+    NotAState naming the first failing member."""
+    m, tr = _hermitian_stack(m, NotAState, "matrix")
+    if (k := _first_bad((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL))) is not None:
+        raise NotAState(f"trace is {tr[k]}, expected 1" + _where(k))
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    if (k := _first_bad(low < PSD_TOL)) is not None:
+        raise NotAState(f"negative eigenvalue {low[k]:.3e}" + _where(k))
+    return m
+
+
+def validate_deviations(d: np.ndarray, epsilon: float) -> np.ndarray:
+    """Check a (..., 4, 4) stack of deviation matrices at one epsilon:
+    epsilon positive and finite, every matrix finite, Hermitian and
+    traceless to the module tolerances.  Returns the stack as a complex
+    array; raises ValueError naming the first failing member."""
+    if not (epsilon > 0 and np.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    d, tr = _hermitian_stack(d, ValueError, "deviation matrix")
+    if (k := _first_bad(np.abs(tr) > TRACE_TOL)) is not None:
+        raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
+    return d
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """4x4 Hermitian, unit-trace, positive-semidefinite operator."""
@@ -43,18 +97,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = validate_states(self.matrix)
         if m.shape != (4, 4):
             raise NotAState(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise NotAState("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise NotAState("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise NotAState(f"trace is {np.trace(m)}, expected 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < PSD_TOL:
-            raise NotAState(f"negative eigenvalue {evals.min():.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
     def expectation(self, observable: np.ndarray) -> float:
@@ -73,18 +118,25 @@ class DeviationState:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        d = np.array(self.delta, dtype=complex)
+        d = validate_deviations(self.delta, self.epsilon)
         if d.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 deviation matrix, got {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError("deviation matrix has non-finite entries")
-        if np.max(np.abs(d - d.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("deviation matrix is not Hermitian")
-        if abs(np.trace(d)) > TRACE_TOL:
-            raise ValueError(f"deviation matrix has trace {np.trace(d)}")
+            raise ValueError(f"expected a 4x4 deviation matrix, got shape {d.shape}")
         object.__setattr__(self, "delta", _freeze(d))
+
+    @classmethod
+    def views(cls, stack: np.ndarray, epsilon: float) -> tuple["DeviationState", ...]:
+        """One DeviationState per member of an (N, 4, 4) stack returned by
+        ``validate_deviations`` at this epsilon, each a read-only view of it.
+        The stack already passed the checks of ``__post_init__``, so they are
+        not run again per member."""
+        stack.flags.writeable = False
+        devs = []
+        for d in stack:
+            dev = object.__new__(cls)
+            object.__setattr__(dev, "delta", d)
+            object.__setattr__(dev, "epsilon", epsilon)
+            devs.append(dev)
+        return tuple(devs)
 
 
 @dataclass(frozen=True)
@@ -137,14 +189,20 @@ class ClassicalSpec:
 
 def pauli_table(m: np.ndarray) -> np.ndarray:
     """Real (4, 4) table R[mu, nu] = tr(M s_mu x s_nu) of a Hermitian
-    two-qubit operator (s_0 = I): R[1:, 0] and R[0, 1:] are the local
-    vectors of qubits a and b, R[1:, 1:] the correlation matrix."""
-    return (_TRACE_ROWS @ np.ravel(m)).real.reshape(4, 4)
+    two-qubit operator (s_0 = I), for each matrix of a (..., 4, 4) stack:
+    R[1:, 0] and R[0, 1:] are the local vectors of qubits a and b, R[1:, 1:]
+    the correlation matrix."""
+    m = np.asarray(m)
+    rows = _TRACE_ROWS @ m.reshape(*m.shape[:-2], 16, 1)
+    return rows[..., 0].real.reshape(m.shape)
 
 
 def from_pauli_table(r: np.ndarray) -> np.ndarray:
-    """Inverse of ``pauli_table``: M = sum_{mu,nu} R[mu, nu] s_mu x s_nu / 4."""
-    return (np.ravel(r) @ _PAULI_BASIS.reshape(16, 16)).reshape(4, 4) / 4.0
+    """Inverse of ``pauli_table``: M = sum_{mu,nu} R[mu, nu] s_mu x s_nu / 4,
+    for each table of a (..., 4, 4) stack."""
+    r = np.asarray(r)
+    flat = r.reshape(*r.shape[:-2], 1, 16) @ _PAULI_BASIS.reshape(16, 16)
+    return flat.reshape(r.shape) / 4.0
 
 
 def from_bloch(spec: BlochSpec) -> DensityMatrix:
@@ -174,16 +232,23 @@ def compose_deviation(dev: DeviationState) -> DensityMatrix:
 
 
 def extract_deviation(rho: DensityMatrix, epsilon: float = DEFAULT_EPSILON) -> DeviationState:
-    """delta = (rho - I/4) / epsilon, the exact inverse of compose_deviation.
+    """delta = (rho - I/4) / epsilon, the exact inverse of compose_deviation."""
+    return DeviationState.views(extract_deviations(rho.matrix, epsilon), epsilon)[0]
+
+
+def extract_deviations(m: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """The deviation matrices of an (N, 4, 4) stack of validated density
+    matrices (or of one 4x4 matrix), as one (N, 4, 4) stack checked once by
+    ``validate_deviations``.
 
     Dividing by epsilon amplifies float noise from rho (already validated to
     1e-12) beyond the deviation tolerances, so the rounding crumbs are
-    projected out before construction.
+    projected out before the check.
     """
-    delta = (rho.matrix - IDENTITY_4 / 4.0) / epsilon
-    delta = (delta + delta.conj().T) / 2.0
-    delta -= np.trace(delta) / 4.0 * IDENTITY_4
-    return DeviationState(delta=delta, epsilon=epsilon)
+    delta = (np.asarray(m).reshape(-1, 4, 4) - IDENTITY_4 / 4.0) / epsilon
+    delta = (delta + delta.conj().swapaxes(-1, -2)) / 2.0
+    delta -= np.trace(delta, axis1=-2, axis2=-1)[:, None, None] / 4.0 * IDENTITY_4
+    return validate_deviations(delta, epsilon)
 
 
 def basis_kets(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:

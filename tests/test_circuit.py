@@ -22,6 +22,7 @@ from nmrwitness import (
     sample_direction,
     witness,
 )
+from nmrwitness.circuit import PROTOCOL_ROTATIONS, STEP_UNITARIES, witness_from_expectations
 from nmrwitness.errors import BadIndex
 from nmrwitness.nmr import SpinSystemParams, thermal_equilibrium_state
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair
@@ -74,6 +75,16 @@ class TestGates:
 
     def test_cnot_involution(self):
         assert np.allclose(cnot().unitary @ cnot().unitary, IDENTITY_4)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_step_unitaries_are_the_protocol_gates(self, i):
+        u = STEP_UNITARIES[i - 1]
+        assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= 1e-15
+        axis, angle = PROTOCOL_ROTATIONS[i]
+        want = cnot().unitary if axis is None else cnot().unitary @ pair_rotation(axis, angle).unitary
+        assert np.array_equal(u, want)
+        with pytest.raises(ValueError):
+            STEP_UNITARIES[i - 1, 0, 0] = 0.0
 
 
 class TestProtocol:
@@ -217,6 +228,12 @@ class TestWitness:
         rep = witness(rho, sample_direction(1), normalization="thermal", epsilon=1e-5)
         assert abs(rep.w - 3.0) < 1e-9
         assert np.allclose(rep.o[:3], [1, 1, -1], atol=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf])
+    def test_thermal_epsilon_must_be_positive_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            witness_from_expectations([1e-5, 1e-5, -1e-5, 0.0], mode="direct",
+                                      normalization="thermal", epsilon=epsilon)
 
     def test_report_json_fields(self):
         rep = witness(triplet(), sample_direction(4), seed=4)

@@ -251,6 +251,12 @@ class TestCli:
         cfg.write_text(json.dumps({"n_steps": 0}))
         assert main(["fig4", "--config", str(cfg)]) == 2
 
+    def test_fig4_zero_delta_t_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta_t": 0}))
+        assert main(["fig4", "--config", str(cfg)]) == 2
+        assert "delta_t" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"n_step": 3}, "n_step"),
         ({"params": {"t2_h": 0.1}}, "t2_h"),

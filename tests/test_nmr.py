@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,46 @@ class TestDynamicsSweep:
         assert rep.w < 1e-6
         fp = relaxation_fixed_point(PARAMS)
         assert np.max(np.abs(far.matrix - fp.matrix)) < 1e-10
+
+    @pytest.mark.parametrize("delta_t", [0.0, -0.0557, np.nan, np.inf])
+    def test_rejects_bad_delta_t(self, delta_t):
+        with pytest.raises(ValueError, match="delta_t"):
+            dynamics_sweep(prepare_state("QC", PARAMS), delta_t, 12, PARAMS)
+
+    @pytest.mark.parametrize("epsilon", [1e-5, 1e-3, 0.2])
+    @pytest.mark.parametrize("scale_h, scale_c", [(0.5, 0.5), (0.5, 2.0), (1.0, 1.0), (2.0, 0.5), (2.0, 2.0)])
+    def test_matches_independent_oracle(self, epsilon, scale_h, scale_c):
+        # Independent oracle: the Kraus sum of tests/oracles.py at each t,
+        # then direct trace readouts and an SVD written here.  The Kraus map
+        # is linear, so the deviation is relaxed on its own and stays exact
+        # at small epsilon.  The sweep works through rho = I/4 + epsilon
+        # delta, whose entries near 1/4 carry about 3e-17 of rounding that
+        # the deviation divides by epsilon: 1e-12 relative to each series'
+        # largest value holds down to epsilon of about 1e-3, and the bound
+        # grows as 1e-15 / epsilon below.
+        params = dataclasses.replace(PARAMS, t2s_h=PARAMS.t2s_h * scale_h,
+                                     t2s_c=PARAMS.t2s_c * scale_c, epsilon=epsilon)
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        delta0 = (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
+                  - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4
+        series = dynamics_sweep(DensityMatrix(np.eye(4) / 4 + epsilon * delta0), 0.0557, 16, params)
+        qubit_h = (params.t1_h, params.t2s_h, 2 * epsilon)
+        qubit_c = (params.t1_c, params.t2s_c, 2 * epsilon / params.gamma_ratio)
+        want = []
+        for t in [n * 0.0557 for n in range(16)]:
+            mixed = np.eye(4) / 4
+            delta = (relax_kraus(mixed, t, qubit_h, qubit_c) - mixed) / epsilon
+            delta += relax_kraus(delta0, t, qubit_h, qubit_c)
+            corr = np.array([[np.trace(delta @ np.kron(p, q)).real for q in paulis] for p in paulis])
+            o = np.diag(corr) / 2  # <s_i s_i> / (2 epsilon)
+            s = np.linalg.svd(corr, compute_uv=False)
+            want.append([abs(o[0] * o[1]) + abs(o[0] * o[2]) + abs(o[1] * o[2]),
+                         np.sum(corr**2) / 2, (s[1]**2 + s[2]**2) / 2, s[0]**2 / 2])
+        want = np.array(want)
+        got = np.stack([series.witness_values, series.mutual_info, series.quantum,
+                        series.classical], axis=1)
+        tol = max(1e-12, 1e-15 / epsilon)
+        assert np.all(np.abs(got - want) <= tol * np.max(np.abs(want), axis=0))
 
     def test_csv_export(self):
         qc = prepare_state("QC", PARAMS)

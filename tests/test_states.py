@@ -23,6 +23,7 @@ from nmrwitness import (
     state_to_json,
 )
 from nmrwitness.errors import BadDistribution, EpsilonMismatch, NotAState
+from nmrwitness.states import validate_deviations, validate_states
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from conftest import ket_projector, random_traceless_hermitian, random_density_matrix, triplet
@@ -53,6 +54,58 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
+
+
+def _corrupt(m: np.ndarray, fault: str) -> np.ndarray:
+    """One matrix with a single fault the validators must catch."""
+    m = np.array(m, dtype=complex)
+    if fault == "non_hermitian":
+        m[0, 1] += 1e-9
+    elif fault == "trace":
+        m += 1e-11 / 4 * np.eye(4)
+    elif fault == "negative_eigenvalue":
+        evals, vecs = np.linalg.eigh(m)
+        evals[0] = -1e-9
+        m = vecs @ np.diag(evals) @ vecs.conj().T
+        m += (1.0 - np.trace(m).real) / 3 * (np.eye(4) - vecs[:, :1] @ vecs[:, :1].conj().T)
+    elif fault == "nan":
+        m[2, 3] = np.nan
+    return m
+
+
+class TestStackValidation:
+    N = 7
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non_hermitian", "not Hermitian"), ("trace", "trace is"),
+        ("negative_eigenvalue", "negative eigenvalue"), ("nan", "non-finite"),
+    ])
+    def test_one_bad_state_in_the_middle(self, rng, fault, message):
+        stack = np.array([random_density_matrix(rng).matrix for _ in range(self.N)])
+        validate_states(stack)
+        stack[3] = _corrupt(stack[3], fault)
+        with pytest.raises(NotAState, match=rf"{message}.*\(matrix 3 of the stack\)"):
+            validate_states(stack)
+        with pytest.raises(NotAState):
+            DensityMatrix(stack[3])
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non_hermitian", "not Hermitian"), ("trace", "has trace"), ("nan", "non-finite"),
+    ])
+    def test_one_bad_deviation_in_the_middle(self, rng, fault, message):
+        stack = np.array([random_traceless_hermitian(rng) for _ in range(self.N)])
+        validate_deviations(stack, 1e-5)
+        stack[3] = _corrupt(stack[3], fault)
+        with pytest.raises(ValueError, match=rf"{message}.*\(matrix 3 of the stack\)"):
+            validate_deviations(stack, 1e-5)
+        with pytest.raises(ValueError):
+            DeviationState(delta=stack[3])
+
+    def test_nested_stack_names_the_member(self, rng):
+        stack = np.array([[random_density_matrix(rng).matrix for _ in range(3)] for _ in range(4)])
+        stack[2, 1] = _corrupt(stack[2, 1], "trace")
+        with pytest.raises(NotAState, match=r"\(2, 1\) of the stack"):
+            validate_states(stack)
 
 
 class TestFromBloch:
