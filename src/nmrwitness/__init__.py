@@ -32,6 +32,7 @@ from .correlations import (
 )
 from .errors import (
     BadDistribution,
+    BadDocument,
     BadIndex,
     EpsilonMismatch,
     NotAState,

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex
-from .pauli import AXES, IDENTITY_2, SIGMA_X, on_a
+from .pauli import AXES, SIGMA_X, on_a, su2
 from .states import DensityMatrix, pauli_table, validate_states
 
 UNITARITY_TOL = 1e-12
+
+# |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
+_READOUT_BOUNDS = np.array([1.0, 1.0, 1.0, 2.0])
 
 # Protocol step -> (rotation axis, angle) applied to both qubits before the
 # CNOT.  The axis for step i is the one that carries sigma_i sigma_i into the
@@ -74,20 +77,24 @@ class ProtocolReadout:
     o: np.ndarray
     states: np.ndarray
 
-    # |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
-    _BOUNDS = (1.0, 1.0, 1.0, 2.0)
-
     def __post_init__(self):
-        v = np.array(self.o, dtype=float)
-        over = np.abs(v) > np.array(self._BOUNDS) + 1e-9
-        if over.any():
-            k = np.unravel_index(int(np.argmax(over)), over.shape)
-            raise ValueError(f"readout {v[k]} exceeds its bound {self._BOUNDS[k[-1]]}")
+        v = _check_bounds(np.array(self.o, dtype=float))
         v.flags.writeable = False
         object.__setattr__(self, "o", v)
         xi = np.array(self.states, dtype=complex)
         xi.flags.writeable = False
         object.__setattr__(self, "states", xi)
+
+
+def _check_bounds(o: np.ndarray) -> np.ndarray:
+    """``o`` after checking each readout (..., k) against the first k of
+    _READOUT_BOUNDS; ValueError names the first one over its bound."""
+    bounds = _READOUT_BOUNDS[:o.shape[-1]]
+    over = np.abs(o) > bounds + 1e-9
+    if over.any():
+        k = np.unravel_index(int(np.argmax(over)), over.shape)
+        raise ValueError(f"readout {o[k]} exceeds its bound {bounds[k[-1]]}")
+    return o
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -96,8 +103,7 @@ def rotation(axis: str, angle: float) -> np.ndarray:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     if not np.isfinite(angle):
         raise ValueError("angle must be finite")
-    s = AXES[axis]
-    return np.cos(angle / 2) * IDENTITY_2 - 1j * np.sin(angle / 2) * s
+    return su2(angle, AXES[axis])
 
 
 def pair_rotation(axis: str, angle: float) -> Gate:
@@ -125,7 +131,6 @@ def _step_unitary(i: int) -> np.ndarray:
 # unitarity once instead of every call.
 STEP_UNITARIES = np.array([_step_unitary(i) for i in (1, 2, 3)])
 STEP_UNITARIES.flags.writeable = False
-_STEP_UNITARIES_DAG = STEP_UNITARIES.conj().swapaxes(-1, -2)
 _SIGMA_X_A = on_a(SIGMA_X)
 
 
@@ -133,7 +138,8 @@ def protocol_state(rho: DensityMatrix, i: int) -> DensityMatrix:
     """xi_i = CNOT . R_i rho R_i^dag . CNOT, the state read out at step i."""
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
-    return DensityMatrix(STEP_UNITARIES[i - 1] @ rho.matrix @ _STEP_UNITARIES_DAG[i - 1])
+    u = STEP_UNITARIES[i - 1]
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 def _sigma_x_a(m: np.ndarray) -> np.ndarray:
@@ -164,24 +170,30 @@ def sample_direction(seed: int) -> WitnessDirection:
     return WitnessDirection(z=z / np.linalg.norm(z), w=w / np.linalg.norm(w))
 
 
-def run_protocol(rho: DensityMatrix, dir: WitnessDirection, step=None) -> ProtocolReadout:
-    """Execute the three circuit runs plus the local O_4 read.  ``step(rho, i)``
-    realizes circuit step i (a pulse-level realization); without it the
-    ideal circuit runs as ``protocol_readout``."""
-    if step is None:
-        return protocol_readout(rho.matrix, dir)
-    states = np.array([step(rho, i).matrix for i in (1, 2, 3)])
-    o4 = _o4(pauli_table(rho.matrix), dir)
-    return ProtocolReadout(o=np.append(_sigma_x_a(states), o4), states=states)
+def run_protocol(rho: DensityMatrix, dir: WitnessDirection,
+                 unitaries: np.ndarray = STEP_UNITARIES) -> ProtocolReadout:
+    """Execute the three circuit runs plus the local O_4 read.  ``unitaries``
+    is the (3, 4, 4) stack of step unitaries: the ideal gates by default, or
+    a pulse-level realization such as ``nmr.pulse_step_unitaries``."""
+    return protocol_readout(rho.matrix, dir, unitaries)
 
 
-def protocol_readout(m: np.ndarray, dir: WitnessDirection) -> ProtocolReadout:
-    """Ideal-circuit readout of one validated density matrix (4, 4) or of a
-    stack of them (..., 4, 4): every xi_i = U_i rho U_i^dag of the stack is
-    formed at once, validated as one stack and read through
-    tr(xi . sigma_x x I); O_4 comes from the local magnetizations."""
-    xi = validate_states(STEP_UNITARIES @ np.asarray(m)[..., None, :, :] @ _STEP_UNITARIES_DAG)
-    o = np.concatenate([_sigma_x_a(xi), _o4(pauli_table(m), dir)[..., None]], axis=-1)
+def step_readout(m: np.ndarray, unitaries: np.ndarray = STEP_UNITARIES) -> tuple[np.ndarray, np.ndarray]:
+    """The three circuit steps of one validated density matrix (4, 4) or of
+    a stack of them (..., 4, 4): every xi_i = U_i rho U_i^dag is formed at
+    once and validated as one stack, and read through tr(xi . sigma_x x I)
+    as the bound-checked <O_1>..<O_3>.  Returns (xi, o)."""
+    u = np.asarray(unitaries)
+    xi = validate_states(u @ np.asarray(m)[..., None, :, :] @ u.conj().swapaxes(-1, -2))
+    return xi, _check_bounds(_sigma_x_a(xi))
+
+
+def protocol_readout(m: np.ndarray, dir: WitnessDirection,
+                     unitaries: np.ndarray = STEP_UNITARIES) -> ProtocolReadout:
+    """``step_readout`` plus <O_4> from the local magnetizations, for one
+    state or a stack of them."""
+    xi, o = step_readout(m, unitaries)
+    o = np.concatenate([o, _o4(pauli_table(m), dir)[..., None]], axis=-1)
     return ProtocolReadout(o=o, states=xi)
 
 

@@ -2,7 +2,11 @@
 
 Subcommands cover the three reference experiments (fig2, fig3, fig4), a custom
 analysis mode, and a state-document validator.  Exit codes: 0 success,
-2 validation failure, 3 optimizer failure, 4 cross-check failure.
+2 validation failure, 3 optimizer failure, 4 cross-check failure.  Exit 2
+covers every invalid input, each reported as one line on stderr: a state,
+parameter or config value that fails its check, and a state or --config file
+that is missing, unreadable, not JSON, not a JSON object or lacks a required
+key (``errors.BadDocument``).
 """
 
 import argparse
@@ -14,6 +18,7 @@ import sys
 from .correlations import OptimizerConfig
 from .errors import (
     BadDistribution,
+    BadDocument,
     BadIndex,
     EpsilonMismatch,
     NotAState,
@@ -37,8 +42,8 @@ EXIT_VALIDATION = 2
 EXIT_OPTIMIZER = 3
 EXIT_CROSS_CHECK = 4
 
-_VALIDATION_ERRORS = (NotAState, BadDistribution, EpsilonMismatch, BadIndex,
-                      UnknownKind, SequenceMismatch, ValueError, KeyError)
+_VALIDATION_ERRORS = (NotAState, BadDistribution, BadDocument, EpsilonMismatch, BadIndex,
+                      UnknownKind, SequenceMismatch, ValueError)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -76,9 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file ``path``; BadDocument if the file cannot
+    be read or does not hold a JSON object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise BadDocument(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise BadDocument(f"{what} {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadDocument(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _known_keys(overrides: dict, cls, where: str) -> dict:
-    """Return ``overrides`` after checking that every key names a field of
-    ``cls``, so a misspelt key fails instead of falling back to the default."""
+    """Return ``overrides`` after checking that it is a JSON object whose
+    every key names a field of ``cls``, so a misspelt key fails instead of
+    falling back to the default."""
+    if not isinstance(overrides, dict):
+        raise BadDocument(f"--config {where} value must be a JSON object, "
+                          f"got {type(overrides).__name__}")
     unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} keys in --config: {', '.join(unknown)}")
@@ -88,8 +112,8 @@ def _known_keys(overrides: dict, cls, where: str) -> dict:
 def _config_from_args(args) -> ExperimentConfig:
     overrides = {}
     if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+        overrides = _known_keys(_read_json(args.config, "config file"), ExperimentConfig,
+                                "top-level")
 
     param_overrides = _known_keys(overrides.pop("params", {}), SpinSystemParams, "params")
     if args.epsilon is not None:
@@ -111,12 +135,10 @@ def _config_from_args(args) -> ExperimentConfig:
         out_dir=out_dir,
         write_timing=args.timing,
     )
-    extra = _known_keys(overrides, ExperimentConfig, "top-level")
-    if "state_kinds" in extra:
-        extra["state_kinds"] = tuple(extra["state_kinds"])
-    if "direction_seeds" in extra:
-        extra["direction_seeds"] = tuple(extra["direction_seeds"])
-    return dataclasses.replace(config, **extra)
+    for key in ("state_kinds", "direction_seeds"):
+        if key in overrides:
+            overrides[key] = tuple(overrides[key])
+    return dataclasses.replace(config, **overrides)
 
 
 def main(argv=None) -> int:
@@ -124,9 +146,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            with open(args.state) as fh:
-                doc = json.load(fh)
-            info = validate_state_doc(doc)
+            info = validate_state_doc(_read_json(args.state, "state file"))
         except _VALIDATION_ERRORS as exc:
             print(f"invalid state: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -137,8 +157,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         state_doc = None
         if args.command == "custom":
-            with open(args.state) as fh:
-                state_doc = json.load(fh)
+            state_doc = _read_json(args.state, "state file")
         report = run_experiment(config, state_doc)
     except OptimizerFailure as exc:
         print(f"optimizer failure: {exc}", file=sys.stderr)

@@ -25,5 +25,10 @@ class SequenceMismatch(RuntimeError):
     """Composite pulse sequence does not reproduce its ideal gate."""
 
 
+class BadDocument(ValueError):
+    """A JSON input (a state document or a --config file) cannot be read, is
+    not a JSON object, or lacks a required key."""
+
+
 class OptimizerFailure(RuntimeError):
     """Measurement-basis refinement did not converge within its budget."""

@@ -5,7 +5,6 @@ writes deterministic files (identical config and seed give byte-identical
 output; wall-clock timing is only written when explicitly requested).
 """
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -14,7 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import run_protocol, sample_direction, witness, witness_from_expectations
+from .circuit import (
+    STEP_UNITARIES,
+    run_protocol,
+    sample_direction,
+    witness,
+    witness_from_expectations,
+)
 from .correlations import (
     OptimizerConfig,
     discord_epsilon,
@@ -26,9 +31,9 @@ from .nmr import (
     dynamics_sweep,
     ideal_deviation,
     prepare_state,
-    pulse_protocol_state,
+    pulse_step_unitaries,
 )
-from .pauli import bloch_vector_to_op
+from .pauli import su2
 from .states import (
     DensityMatrix,
     DeviationState,
@@ -105,9 +110,7 @@ def _random_traceless_hermitian(rng: np.random.Generator) -> np.ndarray:
 def _small_rotation(rng: np.random.Generator, level: float) -> np.ndarray:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    angle = rng.normal(0.0, level)
-    g = bloch_vector_to_op(axis)
-    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * g
+    return su2(rng.normal(0.0, level), axis)
 
 
 def perturb_deviation(dev: DeviationState, level: float,
@@ -140,14 +143,13 @@ def _witness_with_cross_check(state: DensityMatrix, config: ExperimentConfig,
     """Best witness over the configured direction seeds, cross-checking the
     circuit readouts against the direct expectations for every seed."""
     eps = config.params.epsilon
-    step = (functools.partial(pulse_protocol_state, params=config.params)
-            if config.pulse_level else None)
+    unitaries = pulse_step_unitaries(config.params) if config.pulse_level else STEP_UNITARIES
     best = None
     worst_gap = 0.0
     for s in config.seeds():
         direction = sample_direction(s)
         rep = witness_from_expectations(
-            run_protocol(state, direction, step).o, mode="circuit",
+            run_protocol(state, direction, unitaries).o, mode="circuit",
             normalization=config.normalization, epsilon=eps, include_o4=include_o4, seed=s)
         direct = witness(state, direction, mode="direct",
                          normalization=config.normalization, epsilon=eps,
@@ -252,8 +254,7 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     files = {}
     state = _prepare("QC", config, noise_rng)
     _, cross_max = _witness_with_cross_check(state, config, include_o4=False)
-    series = dynamics_sweep(state, config.delta_t, config.n_steps, config.params,
-                            dir=sample_direction(config.seed))
+    series = dynamics_sweep(state, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
         "first_t_witness_below_bound": series.first_time_below(

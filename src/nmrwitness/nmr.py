@@ -11,18 +11,35 @@ convention is exp(-i * angle * (cos(phase) sx + sin(phase) sy) / 2); under it
 the nine-pulse CNOT sequence reproduces the ideal gate exactly when read in
 time order, while the three-pulse z-rotation must be read as an operator
 product (reversed time order) to give R_z(+pi/2) rather than its inverse.
+
+Pulse propagators are constants of (events, params, model): every
+gradient-free run of a pulse program is folded into one read-only unitary
+and cached, and so are the checked composite CNOT and the three pulse-level
+witness steps.  Instantaneous pulses are closed-form SU(2) rotations; only
+the finite pulse model calls ``expm``, when a cache entry is first built.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .circuit import WitnessDirection, cnot, protocol_readout, sample_direction, witness_sum
+from .circuit import cnot, step_readout, witness_sum
 from .correlations import epsilon_correlations
 from .errors import BadIndex, SequenceMismatch, UnknownKind
-from .pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b
+from .pauli import (
+    IDENTITY_2,
+    IDENTITY_4,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    bloch_vector_to_op,
+    on_a,
+    on_b,
+    su2,
+)
 from .states import (
     DensityMatrix,
     DeviationState,
@@ -161,8 +178,9 @@ def free_evolution(rho: DensityMatrix, tau: float, params: SpinSystemParams) -> 
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def _rf_axis(phase: float) -> np.ndarray:
-    return np.cos(phase) * SIGMA_X + np.sin(phase) * SIGMA_Y
+def _rf_axis(phase: float) -> tuple:
+    """Unit Bloch vector of the rf field at azimuth ``phase``."""
+    return (np.cos(phase), np.sin(phase), 0.0)
 
 
 def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "instantaneous") -> np.ndarray:
@@ -175,7 +193,7 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
     if event.kind != "rf":
         raise ValueError("not an rf event")
     if model == "instantaneous":
-        r = expm(-1j * event.angle * _rf_axis(event.phase) / 2.0)
+        r = su2(event.angle, _rf_axis(event.phase))
         if event.channel == "H":
             return on_a(r)
         if event.channel == "C":
@@ -188,7 +206,7 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
         pi2 = params.pulse_pi2_h if channel == "H" else params.pulse_pi2_c
         t_p = event.duration if event.duration is not None else pi2 * event.angle / (np.pi / 2)
         omega1 = event.angle / t_p
-        h_rf = omega1 * _rf_axis(event.phase) / 2.0
+        h_rf = omega1 * bloch_vector_to_op(_rf_axis(event.phase)) / 2.0
         h_rf = on_a(h_rf) if channel == "H" else on_b(h_rf)
         return expm(-1j * t_p * (h_rf + np.diag(_drift_diagonal(params))))
 
@@ -208,29 +226,47 @@ def gradient_dephase(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.matrix)))
 
 
+def _frozen(u: np.ndarray) -> np.ndarray:
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=256)
+def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
+    """A pulse program as its folded segments, in time order: one read-only
+    4x4 unitary per gradient-free run of events and None per gradient."""
+    out = []
+    for ev in events:
+        if ev.kind == "gradient":
+            out.append(None)
+            continue
+        if ev.kind == "rf":
+            step = rf_propagator(ev, params, model)
+        else:
+            step = free_evolution_propagator(ev.j_units / params.j_coupling, params)
+        if out and out[-1] is not None:
+            out[-1] = step @ out[-1]
+        else:
+            out.append(step)
+    return tuple(u if u is None else _frozen(u) for u in out)
+
+
 def sequence_propagator(events: list, params: SpinSystemParams,
                         model: str = "instantaneous") -> np.ndarray:
-    """Net unitary of a gradient-free pulse program (time-ordered list)."""
-    u = IDENTITY_4.copy()
-    for ev in events:
-        if ev.kind == "rf":
-            u = rf_propagator(ev, params, model) @ u
-        elif ev.kind == "delay":
-            u = free_evolution_propagator(ev.j_units / params.j_coupling, params) @ u
-        else:
-            raise ValueError("gradient events have no unitary propagator")
-    return u
+    """Net unitary of a gradient-free pulse program (time-ordered list), a
+    cached read-only array."""
+    segments = _segments(tuple(events), params, model)
+    if any(u is None for u in segments):
+        raise ValueError("gradient events have no unitary propagator")
+    return segments[0] if segments else _frozen(IDENTITY_4.copy())
 
 
 def apply_sequence(rho: DensityMatrix, events: list, params: SpinSystemParams,
                    model: str = "instantaneous") -> DensityMatrix:
-    for ev in events:
-        if ev.kind == "rf":
-            rho = rf_pulse(rho, ev, params, model)
-        elif ev.kind == "delay":
-            rho = free_evolution(rho, ev.j_units / params.j_coupling, params)
-        else:
-            rho = gradient_dephase(rho)
+    """Run a pulse program on rho: each folded gradient-free segment is
+    applied once (one state check per segment), and each gradient dephases."""
+    for u in _segments(tuple(events), params, model):
+        rho = gradient_dephase(rho) if u is None else DensityMatrix(u @ rho.matrix @ u.conj().T)
     return rho
 
 
@@ -274,14 +310,22 @@ def composite_z_rotation(rho: DensityMatrix, channel: str,
     return apply_sequence(rho, z_rotation_events(channel), params, model)
 
 
-def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
-                   model: str = "instantaneous") -> DensityMatrix:
-    params = params or SpinSystemParams()
+@functools.lru_cache(maxsize=64)
+def _checked_cnot(params: SpinSystemParams, model: str) -> np.ndarray:
+    """The composite CNOT propagator once it has passed its fidelity check.
+    A failed check raises, and lru_cache keeps no exception, so a bad
+    calibration fails on every call."""
     u = sequence_propagator(cnot_events(), params, model)
     threshold = 1 - 1e-6 if model == "instantaneous" else 0.999
     fid = propagator_fidelity(u, cnot().unitary)
     if fid < threshold:
         raise SequenceMismatch(f"composite CNOT fidelity {fid} below {threshold}")
+    return u
+
+
+def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
+                   model: str = "instantaneous") -> DensityMatrix:
+    u = _checked_cnot(params or SpinSystemParams(), model)
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
@@ -452,43 +496,52 @@ def prepare_state(kind: str, params: SpinSystemParams | None = None,
 # --- pulse-level witness circuit ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def pulse_step_unitaries(params: SpinSystemParams, model: str = "instantaneous") -> np.ndarray:
+    """The witness circuit steps realized with the experimental pulse
+    sequences, as a cached read-only (3, 4, 4) stack U_i = CNOT_composite .
+    step_i: step 1 is the CNOT alone, step 2 the composite z rotations on H
+    then C, step 3 a direct y rf pulse on both spins.  ``circuit.run_protocol``
+    reads it like the ideal ``STEP_UNITARIES``."""
+    u_cnot = _checked_cnot(params, model)
+    z_h = sequence_propagator(z_rotation_events("H"), params, model)
+    z_c = sequence_propagator(z_rotation_events("C"), params, model)
+    y = sequence_propagator([rf("both", np.pi / 2, _PY)], params, model)
+    return _frozen(np.array([u_cnot, u_cnot @ (z_c @ z_h), u_cnot @ y]))
+
+
 def pulse_protocol_state(rho: DensityMatrix, i: int, params: SpinSystemParams,
                          model: str = "instantaneous") -> DensityMatrix:
-    """Witness circuit step realized with the experimental pulse sequences:
-    the y rotation is a direct rf pulse, the z rotation is its composite."""
-    if i == 2:
-        rho = composite_z_rotation(rho, "H", params, model)
-        rho = composite_z_rotation(rho, "C", params, model)
-    elif i == 3:
-        rho = rf_pulse(rho, rf("both", np.pi / 2, _PY), params, model)
-    elif i != 1:
+    """One witness circuit step of ``pulse_step_unitaries``, xi_i =
+    U_i rho U_i^dag."""
+    if i not in (1, 2, 3):
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
-    return composite_cnot(rho, params, model)
+    u = pulse_step_unitaries(params, model)[i - 1]
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 # --- relaxation sweep ----------------------------------------------------------
 
 
 def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
-                   params: SpinSystemParams,
-                   dir: WitnessDirection | None = None) -> DynamicsSeries:
+                   params: SpinSystemParams) -> DynamicsSeries:
     """Relax for t_n = n * delta_t, n = 0..n_steps-1, and at each point run
     the witness protocol (three-readout Bell-diagonal form, normalized to the
     thermal amplitude) and the expansion-order correlation quantifiers.
 
     All steps form one stack: one relaxation of the Pauli tables, one
-    circuit readout and one batched SVD, with each check (states, post-circuit
-    states, readout bounds, deviations) run once over the stack.
+    circuit readout of <O_1>..<O_3> and one batched SVD, with each check
+    (states, post-circuit states, readout bounds, deviations) run once over
+    the stack.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not (delta_t > 0 and math.isfinite(delta_t)):
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
-    dir = dir or sample_direction(0)
     times = np.arange(n_steps) * delta_t
     states = validate_states(_relaxed(rho0.matrix, times, params))
-    _, w = witness_sum(protocol_readout(states, dir).o, normalization="thermal",
-                          epsilon=params.epsilon, include_o4=False)
+    _, w = witness_sum(step_readout(states)[1], normalization="thermal",
+                       epsilon=params.epsilon, include_o4=False)
     deltas = extract_deviations(states, params.epsilon)
     iqc = epsilon_correlations(deltas)
     return DynamicsSeries(

@@ -14,7 +14,8 @@ IDENTITY_4 = np.eye(4, dtype=complex)
 
 SIGMA = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+# Unit Bloch vectors of the named rotation axes.
+AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def on_a(op: np.ndarray) -> np.ndarray:
@@ -36,6 +37,12 @@ def bloch_vector_to_op(n: np.ndarray) -> np.ndarray:
     """n . sigma for a real 3-vector n."""
     n = np.asarray(n, dtype=float)
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
+def su2(angle: float, n) -> np.ndarray:
+    """Single-qubit rotation exp(-i * angle * n.sigma / 2) about the unit
+    Bloch vector n, in closed form: cos(angle/2) I - i sin(angle/2) n.sigma."""
+    return np.cos(angle / 2) * IDENTITY_2 - 1j * np.sin(angle / 2) * bloch_vector_to_op(n)
 
 
 def direction(theta: float, phi: float) -> np.ndarray:

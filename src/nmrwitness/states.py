@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDistribution, EpsilonMismatch, NotAState
+from .errors import BadDistribution, BadDocument, EpsilonMismatch, NotAState
 from .pauli import IDENTITY_2, IDENTITY_4, SIGMA
 
 HERMITICITY_TOL = 1e-12
@@ -313,10 +313,22 @@ def state_to_json(state) -> dict:
     raise TypeError(f"cannot serialize {type(state).__name__}")
 
 
+def _fields(doc, keys: tuple, where: str) -> list:
+    """The values of ``keys`` in the JSON object ``doc``; BadDocument if doc
+    is not an object or lacks one of them (the first missing key is named)."""
+    if not isinstance(doc, dict):
+        raise BadDocument(f"{where} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise BadDocument(f"{where} lacks the key {key!r}")
+    return [doc[key] for key in keys]
+
+
 def state_from_json(doc: dict):
     """Parse either wire form; returns a DeviationState or a DensityMatrix."""
-    if "bloch" in doc:
-        blk = doc["bloch"]
-        return from_bloch(BlochSpec(a=np.array(blk["a"]), b=np.array(blk["b"]), c=np.array(blk["c"])))
-    delta = np.array(doc["delta_re"], dtype=float) + 1j * np.array(doc["delta_im"], dtype=float)
-    return DeviationState(delta=delta, epsilon=float(doc["epsilon"]))
+    if isinstance(doc, dict) and "bloch" in doc:
+        a, b, c = _fields(doc["bloch"], ("a", "b", "c"), "bloch block")
+        return from_bloch(BlochSpec(a=np.array(a), b=np.array(b), c=np.array(c)))
+    re, im, epsilon = _fields(doc, ("delta_re", "delta_im", "epsilon"), "state document")
+    delta = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+    return DeviationState(delta=delta, epsilon=float(epsilon))

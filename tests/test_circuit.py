@@ -25,7 +25,7 @@ from nmrwitness import (
 from nmrwitness.circuit import PROTOCOL_ROTATIONS, STEP_UNITARIES, witness_from_expectations
 from nmrwitness.errors import BadIndex
 from nmrwitness.nmr import SpinSystemParams, thermal_equilibrium_state
-from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair
+from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair, su2
 
 from conftest import ket_projector, random_density_matrix, triplet
 
@@ -39,6 +39,17 @@ class TestRotation:
         for axis, sigma in (("x", SIGMA_X), ("y", SIGMA_Y), ("z", SIGMA_Z)):
             for angle in (0.3, np.pi / 2, -1.7, 2 * np.pi):
                 assert np.allclose(rotation(axis, angle), expm(-1j * angle * sigma / 2), atol=1e-12)
+
+    def test_su2_closed_form_matches_matrix_exponential(self):
+        # expm serves only as the oracle here; the package builds every
+        # single-qubit rotation with the closed form.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            angle = rng.uniform(-2 * np.pi, 2 * np.pi)
+            n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+            assert np.max(np.abs(su2(angle, n) - expm(-1j * angle * n_sigma / 2))) <= 1e-15
 
     def test_y_half_turn_conjugates_z_to_x(self):
         r = rotation("y", np.pi / 2)

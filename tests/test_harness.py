@@ -17,11 +17,12 @@ from nmrwitness import (
     run_fig2,
     run_fig3,
     run_fig4,
+    state_from_json,
     state_to_json,
     validate_state_doc,
 )
 from nmrwitness.cli import main
-from nmrwitness.errors import NotAState
+from nmrwitness.errors import BadDocument, NotAState
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import SpinSystemParams
 from nmrwitness.pauli import SIGMA_Z
@@ -267,6 +268,60 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["fig4", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @staticmethod
+    def _one_line_exit_2(capsys, argv, *needles):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert captured.out == "" and "\n" not in err and "Traceback" not in err
+        for needle in needles:
+            assert needle in err
+
+    @pytest.mark.parametrize("command", ["custom", "validate"])
+    def test_missing_or_unreadable_state_file_exit_2(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        self._one_line_exit_2(capsys, [command, str(missing)], "cannot read state file", str(missing))
+        # A directory stands in for an unreadable file (file modes do not stop root).
+        self._one_line_exit_2(capsys, [command, str(tmp_path)], "cannot read state file")
+
+    def test_missing_or_unreadable_config_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        self._one_line_exit_2(capsys, ["fig2", "--config", str(missing)],
+                              "cannot read config file", str(missing))
+        self._one_line_exit_2(capsys, ["fig2", "--config", str(tmp_path)], "cannot read config file")
+
+    @pytest.mark.parametrize("doc", [[1, 2], "QC", 3, None])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        self._one_line_exit_2(capsys, ["fig4", "--config", str(cfg)], "JSON object")
+        cfg.write_text(json.dumps({"params": doc}))
+        self._one_line_exit_2(capsys, ["fig4", "--config", str(cfg)], "params", "JSON object")
+
+    @pytest.mark.parametrize("command", ["custom", "validate"])
+    @pytest.mark.parametrize("doc", [[1, 2], "state", 1.5, None, {"bloch": [0, 0, 0]}])
+    def test_state_not_an_object_exit_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        self._one_line_exit_2(capsys, [command, str(path)], "JSON object")
+
+    @pytest.mark.parametrize("command", ["custom", "validate"])
+    @pytest.mark.parametrize("doc, key", [
+        ({"epsilon": 1e-5, "delta_re": np.zeros((4, 4)).tolist()}, "delta_im"),
+        ({"delta_re": np.zeros((4, 4)).tolist(), "delta_im": np.zeros((4, 4)).tolist()}, "epsilon"),
+        ({"bloch": {"a": [0, 0, 0], "c": [1, 1, -1]}}, "b"),
+    ])
+    def test_state_missing_key_exit_2(self, tmp_path, capsys, command, doc, key):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        self._one_line_exit_2(capsys, [command, str(path)], f"lacks the key {key!r}")
+
+    def test_state_missing_key_is_bad_document(self):
+        with pytest.raises(BadDocument, match="'delta_im'"):
+            state_from_json({"epsilon": 1e-5, "delta_re": np.zeros((4, 4)).tolist()})
+        with pytest.raises(BadDocument, match="JSON object"):
+            state_from_json([1, 2])
 
     def test_multi_seed_direction_aggregation(self):
         cfg = ExperimentConfig(direction_seeds=(0, 1, 2, 3))

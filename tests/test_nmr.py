@@ -32,13 +32,16 @@ from nmrwitness.errors import BadIndex, SequenceMismatch, UnknownKind
 from nmrwitness.nmr import (
     PulseEvent,
     SpinSystemParams,
+    apply_sequence,
     cnot_events,
     delay,
     dynamics_sweep,
     free_evolution_propagator,
     propagator_fidelity,
+    pseudo_epr_events,
     pseudo_pure_11_events,
     pulse_protocol_state,
+    pulse_step_unitaries,
     relaxation_fixed_point,
     rf,
     rf_propagator,
@@ -205,6 +208,78 @@ class TestCompositeGates:
         bad = SpinSystemParams(pulse_pi2_h=2e-3, pulse_pi2_c=2e-3)
         with pytest.raises(SequenceMismatch):
             composite_cnot(triplet(), bad, model="finite")
+
+
+class TestCachedPropagators:
+    MODELS = ("instantaneous", "finite")
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_folded_sequence_matches_per_pulse_application(self, model):
+        events = pseudo_pure_11_events() + pseudo_epr_events()
+        m = thermal_equilibrium_state(PARAMS).matrix
+        for ev in events:
+            if ev.kind == "gradient":
+                m = np.diag(np.diag(m))
+                continue
+            if ev.kind == "rf":
+                u = rf_propagator(ev, PARAMS, model)
+            else:
+                u = free_evolution_propagator(ev.j_units / PARAMS.j_coupling, PARAMS)
+            m = u @ m @ u.conj().T
+        folded = apply_sequence(thermal_equilibrium_state(PARAMS), events, PARAMS, model)
+        assert np.max(np.abs(folded.matrix - m)) <= 1e-14
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_cached_propagators_are_read_only(self, model):
+        for u in (sequence_propagator(cnot_events(), PARAMS, model),
+                  sequence_propagator(z_rotation_events("C"), PARAMS, model),
+                  pulse_step_unitaries(PARAMS, model)):
+            with pytest.raises(ValueError):
+                u[..., 0, 0] = 0.0
+        # a repeated call returns the same cached array
+        assert sequence_propagator(cnot_events(), PARAMS, model) is sequence_propagator(
+            cnot_events(), PARAMS, model)
+
+    def test_sequence_propagator_rejects_gradient(self):
+        with pytest.raises(ValueError, match="gradient"):
+            sequence_propagator(pseudo_pure_11_events(), PARAMS)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_pulse_step_unitaries_are_unitary(self, model):
+        steps = pulse_step_unitaries(PARAMS, model)
+        assert steps.shape == (3, 4, 4)
+        for u in steps:
+            assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= 1e-12
+
+    def test_pulse_protocol_state_is_one_step_of_the_stack(self):
+        rho = from_bloch(BlochSpec(c=np.array([0.3, 0.5, -0.2])))
+        steps = pulse_step_unitaries(PARAMS)
+        for i in (1, 2, 3):
+            want = steps[i - 1] @ rho.matrix @ steps[i - 1].conj().T
+            assert np.array_equal(pulse_protocol_state(rho, i, PARAMS).matrix, want)
+
+    def test_bad_calibration_fails_on_every_call(self):
+        bad = SpinSystemParams(pulse_pi2_h=2e-3, pulse_pi2_c=2e-3)
+        for _ in range(2):
+            with pytest.raises(SequenceMismatch):
+                composite_cnot(triplet(), bad, model="finite")
+            with pytest.raises(SequenceMismatch):
+                pulse_step_unitaries(bad, "finite")
+            with pytest.raises(SequenceMismatch):
+                prepare_state("QC", bad, level="pulse", model="finite")
+
+    def test_instantaneous_model_needs_no_expm(self, monkeypatch):
+        import nmrwitness.nmr as nmr
+
+        def no_expm(*args, **kwargs):
+            raise AssertionError("expm called by the instantaneous model")
+
+        monkeypatch.setattr(nmr, "expm", no_expm)
+        for cached in (nmr._segments, nmr._checked_cnot, nmr.pulse_step_unitaries):
+            cached.cache_clear()
+        prepare_state("QC", PARAMS, level="pulse")
+        pulse_step_unitaries(PARAMS)
+        rf_propagator(rf("both", np.pi / 3, 0.7), PARAMS)
 
 
 class TestGradientDephase:
