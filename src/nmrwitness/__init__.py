@@ -31,6 +31,7 @@ from .correlations import (
     symmetric_discord,
 )
 from .errors import (
+    BadConfig,
     BadDistribution,
     BadDocument,
     BadIndex,

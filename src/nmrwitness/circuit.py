@@ -21,6 +21,10 @@ UNITARITY_TOL = 1e-12
 # |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
 _READOUT_BOUNDS = np.array([1.0, 1.0, 1.0, 2.0])
 
+# The pairs i < j of W, in the order (0, 1), (0, 2), ..., (2, 3), of all four
+# readouts (include_o4) or of the three correlations.
+_PAIRS = {True: np.triu_indices(4, 1), False: np.triu_indices(3, 1)}
+
 # Protocol step -> (rotation axis, angle) applied to both qubits before the
 # CNOT.  The axis for step i is the one that carries sigma_i sigma_i into the
 # sigma_x^a readout; note steps 2 and 3 use z and y respectively.
@@ -262,12 +266,10 @@ def witness_sum(
     elif normalization != "raw":
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    n_obs = 4 if include_o4 else 3
-    w = np.zeros(o.shape[:-1])
-    for i in range(n_obs):
-        for j in range(i + 1, n_obs):
-            w = w + np.abs(o[..., i] * o[..., j])
-    return o, w
+    i, j = _PAIRS[bool(include_o4)]
+    # add.accumulate adds the terms left to right, pair by pair, as a loop
+    # over the pairs does; a plain sum may group them differently.
+    return o, np.add.accumulate(np.abs(o[..., i] * o[..., j]), axis=-1).take(-1, axis=-1)
 
 
 def witness(

@@ -17,6 +17,7 @@ import sys
 
 from .correlations import OptimizerConfig
 from .errors import (
+    BadConfig,
     BadDistribution,
     BadDocument,
     BadIndex,
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .harness import (
     DEFAULT_NOISE_LEVEL,
+    NORMALIZATIONS,
     CrossCheckFailure,
     ExperimentConfig,
     run_experiment,
@@ -42,15 +44,15 @@ EXIT_VALIDATION = 2
 EXIT_OPTIMIZER = 3
 EXIT_CROSS_CHECK = 4
 
-_VALIDATION_ERRORS = (NotAState, BadDistribution, BadDocument, EpsilonMismatch, BadIndex,
-                      UnknownKind, SequenceMismatch, ValueError)
+_VALIDATION_ERRORS = (NotAState, BadDistribution, BadDocument, BadConfig, EpsilonMismatch,
+                      BadIndex, UnknownKind, SequenceMismatch, ValueError)
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--epsilon", type=float, default=None,
                         help="override the high-temperature expansion parameter")
-    parser.add_argument("--normalization", choices=("raw", "thermal"), default="thermal")
+    parser.add_argument("--normalization", choices=NORMALIZATIONS, default="thermal")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--config", default=None,
                         help="JSON file with config field overrides")
@@ -135,9 +137,6 @@ def _config_from_args(args) -> ExperimentConfig:
         out_dir=out_dir,
         write_timing=args.timing,
     )
-    for key in ("state_kinds", "direction_seeds"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
     return dataclasses.replace(config, **overrides)
 
 

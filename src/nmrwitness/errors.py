@@ -30,5 +30,10 @@ class BadDocument(ValueError):
     not a JSON object, or lacks a required key."""
 
 
+class BadConfig(ValueError):
+    """An experiment configuration value has the wrong type or lies outside
+    its range."""
+
+
 class OptimizerFailure(RuntimeError):
     """Measurement-basis refinement did not converge within its budget."""

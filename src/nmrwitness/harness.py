@@ -6,6 +6,9 @@ output; wall-clock timing is only written when explicitly requested).
 """
 
 import json
+import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +29,7 @@ from .correlations import (
     mutual_information,
     symmetric_discord,
 )
+from .errors import BadConfig
 from .nmr import (
     SpinSystemParams,
     dynamics_sweep,
@@ -57,6 +61,23 @@ class CrossCheckFailure(RuntimeError):
     """Circuit-mode and direct-mode witness readouts disagreed."""
 
 
+EXPERIMENTS = ("fig2", "fig3", "fig4", "custom")
+NORMALIZATIONS = ("raw", "thermal")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _int_list(v) -> bool:
+    """Whether v is a list or tuple of nonnegative integers."""
+    return isinstance(v, (list, tuple)) and all(_is_int(s) and s >= 0 for s in v)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "fig2"
@@ -72,6 +93,39 @@ class ExperimentConfig:
     delta_t: float = 0.0557                 # s
     n_steps: int = 12
     write_timing: bool = False
+
+    def __post_init__(self):
+        """Type and range checks of every field, each raising BadConfig with
+        the field's name; a list of state kinds or of direction seeds (as a
+        JSON --config gives them) becomes a tuple."""
+        def check(ok: bool, key: str, want: str):
+            if not ok:
+                raise BadConfig(f"config {key} must be {want}, got {getattr(self, key)!r}")
+
+        check(self.experiment in EXPERIMENTS, "experiment", f"one of {', '.join(EXPERIMENTS)}")
+        kinds = self.state_kinds
+        check(isinstance(kinds, (list, tuple)) and all(isinstance(k, str) for k in kinds),
+              "state_kinds", "a list of state kind names")
+        object.__setattr__(self, "state_kinds", tuple(kinds))
+        check(_is_int(self.seed) and self.seed >= 0, "seed", "a nonnegative integer")
+        check(self.normalization in NORMALIZATIONS, "normalization",
+              f"one of {', '.join(NORMALIZATIONS)}")
+        level = self.noise_level
+        check(level is None or (_is_real(level) and math.isfinite(level) and level >= 0),
+              "noise_level", "null or a finite nonnegative number")
+        check(isinstance(self.pulse_level, bool), "pulse_level", "true or false")
+        if self.direction_seeds is not None:
+            check(_int_list(self.direction_seeds), "direction_seeds",
+                  "null or a list of nonnegative integers")
+            object.__setattr__(self, "direction_seeds", tuple(self.direction_seeds))
+        check(isinstance(self.optimizer, OptimizerConfig), "optimizer", "an OptimizerConfig")
+        check(isinstance(self.params, SpinSystemParams), "params", "a SpinSystemParams")
+        check(self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike)), "out_dir",
+              "null or a path")
+        check(_is_real(self.delta_t) and math.isfinite(self.delta_t) and self.delta_t > 0,
+              "delta_t", "a positive finite number of seconds")
+        check(_is_int(self.n_steps) and self.n_steps >= 1, "n_steps", "an integer of at least 1")
+        check(isinstance(self.write_timing, bool), "write_timing", "true or false")
 
     def seeds(self) -> tuple:
         return self.direction_seeds if self.direction_seeds else (self.seed,)

@@ -380,7 +380,10 @@ def thermal_deviation(params: SpinSystemParams) -> np.ndarray:
     return (on_a(SIGMA_Z) + on_b(SIGMA_Z) / params.gamma_ratio) / 2.0
 
 
+@functools.lru_cache(maxsize=64)
 def thermal_equilibrium_state(params: SpinSystemParams) -> DensityMatrix:
+    """I/4 + epsilon * thermal_deviation, a constant of ``params`` (the
+    DensityMatrix is immutable, so every caller can share it)."""
     return compose_deviation(DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon))
 
 
@@ -423,6 +426,24 @@ def ideal_deviation(kind: str, params: SpinSystemParams) -> np.ndarray:
     raise UnknownKind(f"unknown state kind {kind!r}")
 
 
+# The preparation programs, built once (see pseudo_pure_11_events and
+# pseudo_epr_events), and the program of each kind with a pulse-level
+# preparation.
+_PSEUDO_PURE_11 = (
+    rf("H", np.pi / 4, _PX),
+    rf("H", np.pi / 6, _PX),
+    delay(0.25),
+    delay(0.25),
+    rf("H", np.pi / 6, _PY),
+    rf("H", np.pi / 4, _PMY),
+    gradient(),
+    rf("H", np.pi, _PX),
+    rf("C", np.pi, _PX),
+)
+_PSEUDO_EPR = (rf("H", np.pi / 2, _PMY), *cnot_events())
+_PREPARATIONS = {"pseudo_pure_11": _PSEUDO_PURE_11, "QC": _PSEUDO_PURE_11 + _PSEUDO_EPR}
+
+
 def pseudo_pure_11_events() -> list:
     """Spatial-averaging preparation of the |11> pseudo-pure state.
 
@@ -430,23 +451,13 @@ def pseudo_pure_11_events() -> list:
     composite -pi/12 y tip, a crusher gradient, then pi flips on both spins
     to move the pseudo-pure population from |00> to |11>.
     """
-    return [
-        rf("H", np.pi / 4, _PX),
-        rf("H", np.pi / 6, _PX),
-        delay(0.25),
-        delay(0.25),
-        rf("H", np.pi / 6, _PY),
-        rf("H", np.pi / 4, _PMY),
-        gradient(),
-        rf("H", np.pi, _PX),
-        rf("C", np.pi, _PX),
-    ]
+    return list(_PSEUDO_PURE_11)
 
 
 def pseudo_epr_events() -> list:
     """Pseudo-EPR gate: a -y half-pulse on H followed by the composite CNOT,
     carrying |11> onto the triplet Bell state (|01>+|10>)/sqrt(2)."""
-    return [rf("H", np.pi / 2, _PMY)] + cnot_events()
+    return list(_PSEUDO_EPR)
 
 
 def _pulse_level_deviation(events: list, params: SpinSystemParams, model: str) -> np.ndarray:
@@ -481,10 +492,7 @@ def prepare_state(kind: str, params: SpinSystemParams | None = None,
 
     if kind == "CC":
         raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
-    events = pseudo_pure_11_events()
-    if kind == "QC":
-        events = events + pseudo_epr_events()
-    delta = _pulse_level_deviation(events, params, model)
+    delta = _pulse_level_deviation(_PREPARATIONS[kind], params, model)
     dist = trace_norm(delta - _IDEAL_DEVIATIONS[kind]) / 2
     if dist > PULSE_PREP_TOLERANCE:
         raise SequenceMismatch(

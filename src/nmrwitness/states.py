@@ -30,10 +30,38 @@ _PAULI_BASIS = np.array([np.kron(p, q) for p in (IDENTITY_2, *SIGMA)
 _TRACE_ROWS = _PAULI_BASIS.transpose(0, 2, 1).reshape(16, 16)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=complex)
-    arr.flags.writeable = False
-    return arr
+def _linear_reads(m: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of m_ij - conj(m_ji) for i <= j (the
+    Hermiticity residuals; each one below the diagonal mirrors one above it)
+    and of the trace, of one 4x4 complex matrix: 22 numbers, linear in the
+    real and imaginary parts of m."""
+    upper = (m - m.conj().T)[np.triu_indices(4)]
+    tr = np.trace(m)
+    return np.concatenate([upper.real, upper.imag, [tr.real, tr.imag]])
+
+
+# _linear_reads as a (32, 22) matrix acting on the (..., 32) real view of a
+# stack (row k is the reads of the matrix whose real view is the k-th unit
+# vector), and the reads of a valid state, which differ from those of a valid
+# deviation matrix (all zero) only in the real trace.
+_CHECK_COLUMNS = np.array([_linear_reads(e.view(complex).reshape(4, 4)) for e in np.eye(32)])
+_UNIT_TRACE = _linear_reads(IDENTITY_4 / 4)
+
+# Both parts of every linear read within half the smaller tolerance put the
+# Hermiticity gap |m_ij - conj(m_ji)| and the trace error within 1/sqrt(2) of
+# their tolerances, far beyond rounding: the per-condition checks would pass.
+_LINEAR_TOL = min(HERMITICITY_TOL, TRACE_TOL) / 2
+
+# Positivity certificate (Gershgorin).  eigvalsh reads the lower triangle, so
+# it diagonalizes a Hermitian L whose off-diagonal entries each differ from
+# m's by at most the Hermiticity gap.  Hence, with |m_ii| >= Re m_ii,
+#   lambda_min(L) >= min_i (Re m_ii - sum_{j != i} |L_ij|)
+#                 >= min_i (2 Re m_ii - sum_j |m_ij|) - 3 HERMITICITY_TOL,
+# and a bound of PSD_TOL + 4 HERMITICITY_TOL leaves HERMITICITY_TOL for the
+# rounding of eigvalsh and of the bound (about 1e-15 for a matrix that passes,
+# whose entries are then at most about 1).
+_CERTIFICATE_BOUND = PSD_TOL + 4 * HERMITICITY_TOL
+_ONES = np.ones(4)
 
 
 def _first_bad(bad: np.ndarray):
@@ -49,28 +77,63 @@ def _where(k: tuple) -> str:
     return f" (matrix {k[0] if len(k) == 1 else k} of the stack)" if k else ""
 
 
-def _hermitian_stack(m: np.ndarray, error: type, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Checks shared by both validators: a (..., 4, 4) stack, every member
-    finite and Hermitian.  Returns the complex stack and its traces."""
+def _as_stack(m: np.ndarray, error: type, name: str) -> np.ndarray:
+    """``m`` as a new complex (..., 4, 4) array, owned by the caller."""
     m = np.array(m, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise error(f"expected a 4x4 {name}, got shape {m.shape}")
+    return m
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _within_tolerances(m: np.ndarray, target: np.ndarray) -> bool:
+    """The fused pass: one matmul reads every Hermiticity residual and the
+    trace of each member of the stack, and one reduction bounds them all.
+    True means the per-condition checks pass.  A nan or inf entry makes the
+    reads nan or inf, so it fails here, as does an empty stack; it fails
+    quietly, and the per-condition checks then report it."""
+    if not m.size:
+        return False
+    reads = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape[:-2], 32) @ _CHECK_COLUMNS
+    return bool(np.maximum.reduce(np.abs(reads - target), axis=None) <= _LINEAR_TOL)
+
+
+def _positivity_certified(m: np.ndarray) -> bool:
+    """Whether the Gershgorin bound min_i (2 Re m_ii - sum_j |m_ij|), taken
+    over every member of a finite, Hermitian stack, proves it positive
+    semidefinite to PSD_TOL (see _CERTIFICATE_BOUND)."""
+    bound = 2.0 * m.diagonal(0, -2, -1).real - np.abs(m) @ _ONES
+    return m.size > 0 and np.minimum.reduce(bound, axis=None) >= _CERTIFICATE_BOUND
+
+
+def _hermitian_checks(m: np.ndarray, error: type, name: str) -> np.ndarray:
+    """Per-condition checks shared by both validators, run only when the
+    fused pass fails: every member finite, then every member Hermitian.
+    Returns the traces."""
     if (k := _first_bad(~np.isfinite(m).all(axis=(-2, -1)))) is not None:
         raise error(f"{name} has non-finite entries" + _where(k))
     herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
     if (k := _first_bad(herm > HERMITICITY_TOL)) is not None:
         raise error(f"{name} is not Hermitian" + _where(k))
-    return m, np.trace(m, axis1=-2, axis2=-1)
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def validate_states(m: np.ndarray) -> np.ndarray:
     """Check that every matrix of a (..., 4, 4) stack is a density matrix:
     finite, Hermitian, unit trace and positive semidefinite, each to the
-    module tolerances.  Returns the stack as a complex array; raises
-    NotAState naming the first failing member."""
-    m, tr = _hermitian_stack(m, NotAState, "matrix")
-    if (k := _first_bad((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL))) is not None:
-        raise NotAState(f"trace is {tr[k]}, expected 1" + _where(k))
+    module tolerances.  Returns the stack as a new complex array; raises
+    NotAState naming the first failing member.
+
+    One fused pass settles the first three; a Gershgorin bound settles
+    positivity of a near-diagonal state (such as I/4 + epsilon * delta)
+    without an eigendecomposition, and eigvalsh runs only where it fails."""
+    m = _as_stack(m, NotAState, "matrix")
+    if not _within_tolerances(m, _UNIT_TRACE):
+        tr = _hermitian_checks(m, NotAState, "matrix")
+        if (k := _first_bad((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL))) is not None:
+            raise NotAState(f"trace is {tr[k]}, expected 1" + _where(k))
+    if _positivity_certified(m):
+        return m
     low = np.linalg.eigvalsh(m).min(axis=-1)
     if (k := _first_bad(low < PSD_TOL)) is not None:
         raise NotAState(f"negative eigenvalue {low[k]:.3e}" + _where(k))
@@ -80,13 +143,15 @@ def validate_states(m: np.ndarray) -> np.ndarray:
 def validate_deviations(d: np.ndarray, epsilon: float) -> np.ndarray:
     """Check a (..., 4, 4) stack of deviation matrices at one epsilon:
     epsilon positive and finite, every matrix finite, Hermitian and
-    traceless to the module tolerances.  Returns the stack as a complex
+    traceless to the module tolerances.  Returns the stack as a new complex
     array; raises ValueError naming the first failing member."""
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    d, tr = _hermitian_stack(d, ValueError, "deviation matrix")
-    if (k := _first_bad(np.abs(tr) > TRACE_TOL)) is not None:
-        raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
+    d = _as_stack(d, ValueError, "deviation matrix")
+    if not _within_tolerances(d, 0.0):
+        tr = _hermitian_checks(d, ValueError, "deviation matrix")
+        if (k := _first_bad(np.abs(tr) > TRACE_TOL)) is not None:
+            raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
     return d
 
 
@@ -100,7 +165,8 @@ class DensityMatrix:
         m = validate_states(self.matrix)
         if m.shape != (4, 4):
             raise NotAState(f"expected a 4x4 matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        m.flags.writeable = False      # the validator's own copy
+        object.__setattr__(self, "matrix", m)
 
     def expectation(self, observable: np.ndarray) -> float:
         return float(np.trace(self.matrix @ observable).real)
@@ -121,7 +187,8 @@ class DeviationState:
         d = validate_deviations(self.delta, self.epsilon)
         if d.shape != (4, 4):
             raise ValueError(f"expected a 4x4 deviation matrix, got shape {d.shape}")
-        object.__setattr__(self, "delta", _freeze(d))
+        d.flags.writeable = False      # the validator's own copy
+        object.__setattr__(self, "delta", d)
 
     @classmethod
     def views(cls, stack: np.ndarray, epsilon: float) -> tuple["DeviationState", ...]:

@@ -176,3 +176,56 @@ def relax_kraus(rho: np.ndarray, t: float, qubit_a: tuple, qubit_b: tuple) -> np
             k = np.kron(ka, kb)
             out += k @ rho @ k.conj().T
     return out
+
+
+# --- state validators ------------------------------------------------------------
+#
+# The per-condition validators as they stood before the fused pass: each
+# condition is its own reduction, in the order finite, Hermitian, trace and
+# (for states) the smallest eigenvalue from eigvalsh.  The production
+# validators must accept and reject exactly the same inputs, with the same
+# exception type and message.
+
+
+def _first_bad(bad: np.ndarray):
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def _where(k: tuple) -> str:
+    k = tuple(int(i) for i in k)
+    return f" (matrix {k[0] if len(k) == 1 else k} of the stack)" if k else ""
+
+
+def _hermitian_stack(m, error: type, name: str, herm_tol: float):
+    m = np.array(m, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise error(f"expected a 4x4 {name}, got shape {m.shape}")
+    if (k := _first_bad(~np.isfinite(m).all(axis=(-2, -1)))) is not None:
+        raise error(f"{name} has non-finite entries" + _where(k))
+    herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if (k := _first_bad(herm > herm_tol)) is not None:
+        raise error(f"{name} is not Hermitian" + _where(k))
+    return m, np.trace(m, axis1=-2, axis2=-1)
+
+
+def validate_states_reference(m, error: type, herm_tol: float, trace_tol: float,
+                              psd_tol: float) -> np.ndarray:
+    m, tr = _hermitian_stack(m, error, "matrix", herm_tol)
+    if (k := _first_bad((np.abs(tr.real - 1.0) > trace_tol) | (np.abs(tr.imag) > trace_tol))) is not None:
+        raise error(f"trace is {tr[k]}, expected 1" + _where(k))
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    if (k := _first_bad(low < psd_tol)) is not None:
+        raise error(f"negative eigenvalue {low[k]:.3e}" + _where(k))
+    return m
+
+
+def validate_deviations_reference(d, epsilon: float, herm_tol: float,
+                                  trace_tol: float) -> np.ndarray:
+    if not (epsilon > 0 and np.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    d, tr = _hermitian_stack(d, ValueError, "deviation matrix", herm_tol)
+    if (k := _first_bad(np.abs(tr) > trace_tol)) is not None:
+        raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
+    return d

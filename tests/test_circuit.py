@@ -22,7 +22,12 @@ from nmrwitness import (
     sample_direction,
     witness,
 )
-from nmrwitness.circuit import PROTOCOL_ROTATIONS, STEP_UNITARIES, witness_from_expectations
+from nmrwitness.circuit import (
+    PROTOCOL_ROTATIONS,
+    STEP_UNITARIES,
+    witness_from_expectations,
+    witness_sum,
+)
 from nmrwitness.errors import BadIndex
 from nmrwitness.nmr import SpinSystemParams, thermal_equilibrium_state
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair, su2
@@ -245,6 +250,28 @@ class TestWitness:
         with pytest.raises(ValueError, match="epsilon"):
             witness_from_expectations([1e-5, 1e-5, -1e-5, 0.0], mode="direct",
                                       normalization="thermal", epsilon=epsilon)
+
+    @staticmethod
+    def _pair_loop(o: np.ndarray, include_o4: bool):
+        """W as a nested loop over the pairs i < j, adding left to right."""
+        n_obs = 4 if include_o4 else 3
+        w = np.zeros(o.shape[:-1])
+        for i in range(n_obs):
+            for j in range(i + 1, n_obs):
+                w = w + np.abs(o[..., i] * o[..., j])
+        return w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from([(4,), (1, 4), (9, 4), (2, 3, 4)]),
+           st.booleans())
+    def test_witness_sum_bitwise_equals_pair_loop(self, seed, shape, include_o4):
+        rng = np.random.default_rng(seed)
+        # magnitudes over many decades, so the order of the additions shows
+        o = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+        want = self._pair_loop(o, include_o4)
+        _, got = witness_sum(o, include_o4=include_o4)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_report_json_fields(self):
         rep = witness(triplet(), sample_direction(4), seed=4)

@@ -22,7 +22,7 @@ from nmrwitness import (
     validate_state_doc,
 )
 from nmrwitness.cli import main
-from nmrwitness.errors import BadDocument, NotAState
+from nmrwitness.errors import BadConfig, BadDocument, NotAState
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import SpinSystemParams
 from nmrwitness.pauli import SIGMA_Z
@@ -317,6 +317,33 @@ class TestCli:
         path.write_text(json.dumps(doc))
         self._one_line_exit_2(capsys, [command, str(path)], f"lacks the key {key!r}")
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"state_kinds": 5}, "state_kinds"),
+        ({"n_steps": "a"}, "n_steps"),
+        ({"seed": "x"}, "seed"),
+        ({"delta_t": "x"}, "delta_t"),
+    ])
+    def test_wrong_type_config_value_exit_2(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        self._one_line_exit_2(capsys, ["fig4", "--config", str(cfg)], f"config {key} must be")
+
+    @pytest.mark.parametrize("field, value", [
+        ("experiment", "fig5"), ("state_kinds", "QC"), ("state_kinds", [1]), ("seed", -1),
+        ("seed", 1.5), ("seed", True), ("normalization", "peak"), ("noise_level", -0.1),
+        ("noise_level", float("nan")), ("pulse_level", 1), ("direction_seeds", [1, -2]),
+        ("direction_seeds", 3), ("optimizer", {}), ("params", None), ("out_dir", 3),
+        ("delta_t", 0.0), ("delta_t", float("inf")), ("delta_t", True), ("n_steps", 0),
+        ("n_steps", 2.0), ("write_timing", "yes"),
+    ])
+    def test_experiment_config_checks_each_field(self, field, value):
+        with pytest.raises(BadConfig, match=rf"^config {field} must be"):
+            ExperimentConfig(**{field: value})
+
+    def test_experiment_config_lists_become_tuples(self):
+        cfg = ExperimentConfig(state_kinds=["QC", "CC"], direction_seeds=[3, 4])
+        assert cfg.state_kinds == ("QC", "CC") and cfg.direction_seeds == (3, 4)
+
     def test_state_missing_key_is_bad_document(self):
         with pytest.raises(BadDocument, match="'delta_im'"):
             state_from_json({"epsilon": 1e-5, "delta_re": np.zeros((4, 4)).tolist()})
@@ -336,7 +363,8 @@ class TestCli:
 
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"state_kinds": ["QC"], "params": {"epsilon": 1e-4}}))
+        cfg.write_text(json.dumps({"state_kinds": ["QC"], "direction_seeds": [2, 5],
+                                   "params": {"epsilon": 1e-4}}))
         out = tmp_path / "out"
         assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
         lines = read(out / "witness.csv").strip().split("\n")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from nmrwitness import (
     state_from_json,
     state_to_json,
 )
+from nmrwitness import prepare_state, states
 from nmrwitness.errors import BadDistribution, EpsilonMismatch, NotAState
 from nmrwitness.states import validate_deviations, validate_states
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z
 
+import oracles
 from conftest import ket_projector, random_traceless_hermitian, random_density_matrix, triplet
 
 
@@ -320,3 +323,209 @@ class TestJsonForms:
         spec = BlochSpec(c=np.array([0.1, 0.2, -0.3]))
         doc = state_to_json(spec)
         assert doc["bloch"]["c"] == [0.1, 0.2, -0.3]
+
+
+def _outcome(fn, *args):
+    """What a validator does with ``args``: ("ok", dtype, shape, bytes) of the
+    returned array, or ("raise", exception type, message), and the warnings
+    it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            result = ("raise", type(exc), str(exc))
+        else:
+            result = ("ok", out.dtype, out.shape, out.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _reference_states(m):
+    return oracles.validate_states_reference(m, NotAState, states.HERMITICITY_TOL,
+                                             states.TRACE_TOL, states.PSD_TOL)
+
+
+def _reference_deviations(d, epsilon):
+    return oracles.validate_deviations_reference(d, epsilon, states.HERMITICITY_TOL,
+                                                 states.TRACE_TOL)
+
+
+# Faults for the equivalence tests: gross ones, and ones on either side of a
+# tolerance, between the fused pass's margin and the tolerance itself.
+STATE_FAULTS = ("non_hermitian", "trace", "negative_eigenvalue", "nan", "inf",
+                "gap_0.6", "gap_1.1", "trace_0.6", "trace_1.1", "imag_trace",
+                "eig_at_psd_tol")
+DEVIATION_FAULTS = ("non_hermitian", "trace", "nan", "inf", "gap_0.6", "gap_1.1",
+                    "trace_0.6", "trace_1.1", "imag_trace")
+
+
+def _fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarray:
+    m = np.array(m, dtype=complex)
+    if fault in ("non_hermitian", "trace", "negative_eigenvalue", "nan"):
+        return _corrupt(m, fault)
+    if fault == "inf":
+        m[1, 2] = [np.inf, -np.inf, complex(0.0, np.inf)][rng.integers(3)]
+    elif fault.startswith("gap_"):
+        m[0, 3] += float(fault[4:]) * states.HERMITICITY_TOL
+    elif fault.startswith("trace_"):
+        m += float(fault[6:]) * states.TRACE_TOL / 4 * np.eye(4)
+    elif fault == "imag_trace":
+        m[2, 2] += 1.5j * states.TRACE_TOL
+    elif fault == "eig_at_psd_tol":
+        evals, vecs = np.linalg.eigh(m)
+        evals[0] = states.PSD_TOL + rng.uniform(-1e-11, 1e-11)
+        evals[1:] += (1.0 - evals.sum()) / 3
+        m = vecs @ np.diag(evals) @ vecs.conj().T
+    return m
+
+
+def _base_states(rng: np.random.Generator, shape: tuple, family: str) -> np.ndarray:
+    """Valid density matrices: near the maximally mixed state as NMR states
+    are, Ginibre states, or pure states."""
+    out = np.empty(shape + (4, 4), dtype=complex)
+    for k in np.ndindex(*shape):
+        if family == "nmr":
+            delta = random_traceless_hermitian(rng)
+            out[k] = IDENTITY_4 / 4 + 1e-5 * delta / np.abs(np.linalg.eigvalsh(delta)).max()
+        elif family == "ginibre":
+            out[k] = random_density_matrix(rng).matrix
+        else:
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            out[k] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return out
+
+
+STACK_SHAPES = [(), (1,), (5,), (2, 3)]
+
+
+class TestFusedValidators:
+    """The fused validators against the per-condition reference copies in
+    tests/oracles.py: same inputs accepted, with the same array returned,
+    and the same rejected, with the same exception type and message (which
+    names the first failing member of a stack)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(STACK_SHAPES),
+           st.sampled_from(["nmr", "ginibre", "pure"]),
+           st.lists(st.tuples(st.integers(0, 5), st.sampled_from(STATE_FAULTS)), max_size=3))
+    def test_states_match_reference(self, seed, shape, family, faults):
+        rng = np.random.default_rng(seed)
+        m = _base_states(rng, shape, family)
+        members = list(np.ndindex(*shape))
+        for k, fault in faults:
+            member = members[k % len(members)]
+            m[member] = _fault(m[member], fault, rng)
+        want = _outcome(_reference_states, m)
+        assert _outcome(validate_states, m) == want
+        if not shape:
+            assert _outcome(lambda x: DensityMatrix(x).matrix, m) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(STACK_SHAPES),
+           st.lists(st.tuples(st.integers(0, 5), st.sampled_from(DEVIATION_FAULTS)), max_size=3),
+           st.sampled_from([1e-5, 0.3, 0.0, -1e-5, np.nan, np.inf]))
+    def test_deviations_match_reference(self, seed, shape, faults, epsilon):
+        rng = np.random.default_rng(seed)
+        d = np.empty(shape + (4, 4), dtype=complex)
+        for k in np.ndindex(*shape):
+            d[k] = random_traceless_hermitian(rng)
+        members = list(np.ndindex(*shape))
+        for k, fault in faults:
+            member = members[k % len(members)]
+            d[member] = _fault(d[member], fault, rng)
+        assert _outcome(validate_deviations, d, epsilon) == _outcome(_reference_deviations, d, epsilon)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 3), (4, 5), (5, 4, 3), (0, 4, 4), (2, 0, 4, 4)])
+    def test_shapes_match_reference(self, shape):
+        m = np.full(shape, 0.25, dtype=complex)
+        assert _outcome(validate_states, m) == _outcome(_reference_states, m)
+        assert _outcome(validate_deviations, m, 1e-5) == _outcome(_reference_deviations, m, 1e-5)
+
+    def test_returns_a_new_array(self):
+        m, d = IDENTITY_4 / 4, np.zeros((4, 4), dtype=complex)
+        assert validate_states(m) is not m and validate_deviations(d, 1e-5) is not d
+
+    def test_density_matrix_freezes_the_validated_copy(self):
+        m = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix(m)
+        m[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.25 and not rho.matrix.flags.writeable
+
+
+class TestPositivityCertificate:
+    @staticmethod
+    def _near_psd_tol(rng: np.random.Generator) -> np.ndarray:
+        """A unit-trace Hermitian matrix whose smallest eigenvalue lies within
+        1e-9 of PSD_TOL (signed offsets, log-uniform down to 1e-14), of one of
+        three shapes: diagonal, or one where the Gershgorin bound equals the
+        smallest eigenvalue (c I + b (I - s s^H) with unit-modulus s, or a 2x2
+        block a I + b sigma in a diagonal rest).  Then a Hermitian jitter and
+        an anti-Hermitian nudge of Hermiticity gap up to HERMITICITY_TOL."""
+        low = states.PSD_TOL + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-14, -9)
+        kind = rng.integers(3)
+        if kind == 0:
+            rest = rng.dirichlet(np.ones(3)) * (1.0 - low)
+            m = np.diag(np.concatenate(([low], rest))).astype(complex)
+        elif kind == 1:
+            s = np.exp(2j * np.pi * rng.uniform(size=4))
+            b = (0.25 - low) / 3
+            m = 0.25 * IDENTITY_4 + b * (IDENTITY_4 - np.outer(s, s.conj()))
+        else:
+            a = rng.uniform(0.05, 0.45)
+            rest = rng.dirichlet(np.ones(2)) * (1.0 - 2 * a)
+            m = np.diag([a, a, *rest]).astype(complex)
+            m[0, 1] = (a - low) * np.exp(2j * np.pi * rng.uniform())
+            m[1, 0] = np.conj(m[0, 1])
+            perm = rng.permutation(4)
+            m = m[perm][:, perm]
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m += 10.0 ** rng.uniform(-17, -12) * (g + g.conj().T) * (1 - IDENTITY_4)
+        nudge = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        nudge = (nudge - nudge.conj().T) * (1 - IDENTITY_4)
+        return m + nudge * (states.HERMITICITY_TOL / 2 / np.abs(nudge).max() * rng.uniform() ** 3)
+
+    def test_never_certifies_below_psd_tol(self):
+        """The certificate never passes a state whose eigvalsh minimum is
+        below PSD_TOL, and the validator agrees with the reference on every
+        state, including those close to the bound on either side."""
+        rng = np.random.default_rng(8)
+        certified = close = rejected = 0
+        for _ in range(4000):
+            m = self._near_psd_tol(rng)
+            cert = states._positivity_certified(m)
+            low = np.linalg.eigvalsh(m).min()
+            assert not (cert and low < states.PSD_TOL), (low, m)
+            certified += cert
+            close += cert and low < states.PSD_TOL + 1e-11
+            rejected += low < states.PSD_TOL
+            assert _outcome(validate_states, m) == _outcome(_reference_states, m)
+        # both sides of the bound are well represented, and so is its edge
+        assert certified > 500 and rejected > 500 and close > 20, (certified, close, rejected)
+
+    def _count_eigvalsh(self, monkeypatch) -> list:
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_nmr_state_is_certified_and_bell_state_falls_back(self, monkeypatch):
+        qc = prepare_state("QC").matrix
+        # (|0+> + |1->)/sqrt(2): every entry is +-1/4, so every Gershgorin
+        # row is 1/2 - 1 < 0.  (A Bell state of the computational basis has
+        # rows of exactly 0 and is certified.)
+        bell = ket_projector(0.5, 0.5, 0.5, -0.5)
+        calls = self._count_eigvalsh(monkeypatch)
+        validate_states(qc)
+        DensityMatrix(qc)
+        validate_states(np.array([qc] * 6))
+        validate_states(ket_projector(1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)))
+        assert calls == []
+        validate_states(bell)
+        assert calls == [(4, 4)]
+        validate_states(np.array([qc, bell]))
+        assert calls == [(4, 4), (2, 4, 4)]
