@@ -47,10 +47,6 @@ class Gate:
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        u = self.unitary
-        return DensityMatrix(u @ rho.matrix @ u.conj().T)
-
 
 @dataclass(frozen=True)
 class WitnessDirection:
@@ -138,11 +134,13 @@ STEP_UNITARIES.flags.writeable = False
 _SIGMA_X_A = on_a(SIGMA_X)
 
 
-def protocol_state(rho: DensityMatrix, i: int) -> DensityMatrix:
-    """xi_i = CNOT . R_i rho R_i^dag . CNOT, the state read out at step i."""
+def protocol_state(rho: DensityMatrix, i: int,
+                   unitaries: np.ndarray = STEP_UNITARIES) -> DensityMatrix:
+    """xi_i = U_i rho U_i^dag, the state read out at step i; ``unitaries``
+    is the (3, 4, 4) step stack, as in ``run_protocol``."""
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
-    u = STEP_UNITARIES[i - 1]
+    u = unitaries[i - 1]
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 

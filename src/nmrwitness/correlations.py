@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import OptimizerFailure
+from .errors import OptimizerFailure, check_config, is_finite, is_int
 from .pauli import bloch_vector_to_op, direction
 from .states import DensityMatrix, DeviationState, partial_trace, pauli_table
 
@@ -62,6 +62,15 @@ class OptimizerConfig:
     xatol: float = 1e-9
     fatol: float = 1e-13
     start_separation: float = 0.3
+
+    def __post_init__(self):
+        """Counts integers of at least 1, the rest finite and nonnegative;
+        each failure raises BadConfig naming the field."""
+        for key, v in vars(self).items():
+            if key in ("grid_points", "refine_starts", "maxiter"):
+                check_config(is_int(v) and v >= 1, f"optimizer.{key}", v, "an integer of at least 1")
+            else:
+                check_config(is_finite(v) and v >= 0, f"optimizer.{key}", v, "a finite nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -259,7 +268,8 @@ def _canonical_angles(n: np.ndarray) -> tuple[float, float]:
 
 
 def _maximize(value_on_grid, value_at, opt: OptimizerConfig) -> tuple[float, MeasurementBasis]:
-    """Shared grid-then-Nelder-Mead driver.
+    """Shared grid-then-Nelder-Mead driver; the answer is the best of the
+    starts that converged.
 
     ``value_on_grid(na, nb)`` evaluates broadcast direction arrays;
     ``value_at(angles)`` evaluates one (theta_a, phi_a, theta_b, phi_b).
@@ -280,7 +290,6 @@ def _maximize(value_on_grid, value_at, opt: OptimizerConfig) -> tuple[float, Mea
             break
 
     best = []
-    any_converged = False
     for x0 in starts:
         res = minimize(
             lambda x: -value_at(x),
@@ -292,11 +301,12 @@ def _maximize(value_on_grid, value_at, opt: OptimizerConfig) -> tuple[float, Mea
                 "fatol": opt.fatol,
             },
         )
-        any_converged = any_converged or bool(res.success)
+        if not res.success:
+            continue
         t_a, p_a = _canonical_angles(direction(res.x[0], res.x[1]))
         t_b, p_b = _canonical_angles(direction(res.x[2], res.x[3]))
         best.append((-res.fun, (t_a, p_a, t_b, p_b)))
-    if not any_converged:
+    if not best:
         raise OptimizerFailure("no Nelder-Mead start converged within budget")
 
     # Deterministic tie-break: among near-equal optima report the basis with

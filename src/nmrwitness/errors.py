@@ -1,4 +1,8 @@
-"""Exception types raised by state constructors, channels, and optimizers."""
+"""Exception types raised by state constructors, channels, and optimizers,
+and the one field check that every configuration dataclass shares."""
+
+import math
+import numbers
 
 
 class NotAState(ValueError):
@@ -33,6 +37,23 @@ class BadDocument(ValueError):
 class BadConfig(ValueError):
     """An experiment configuration value has the wrong type or lies outside
     its range."""
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+def check_config(ok: bool, key: str, value, want: str):
+    """Raise BadConfig naming ``key`` (``params.t1_h`` if nested) unless ok."""
+    if not ok:
+        raise BadConfig(f"config {key} must be {want}, got {value!r}")
 
 
 class OptimizerFailure(RuntimeError):

@@ -6,8 +6,6 @@ output; wall-clock timing is only written when explicitly requested).
 """
 
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,12 +27,11 @@ from .correlations import (
     mutual_information,
     symmetric_discord,
 )
-from .errors import BadConfig
+from .errors import check_config, is_finite, is_int
 from .nmr import (
     SpinSystemParams,
     dynamics_sweep,
-    ideal_deviation,
-    prepare_state,
+    prepare_deviation,
     pulse_step_unitaries,
 )
 from .pauli import su2
@@ -42,7 +39,6 @@ from .states import (
     DensityMatrix,
     DeviationState,
     compose_deviation,
-    extract_deviation,
     normalized_trace_distance,
     state_from_json,
 )
@@ -63,19 +59,6 @@ class CrossCheckFailure(RuntimeError):
 
 EXPERIMENTS = ("fig2", "fig3", "fig4", "custom")
 NORMALIZATIONS = ("raw", "thermal")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _int_list(v) -> bool:
-    """Whether v is a list or tuple of nonnegative integers."""
-    return isinstance(v, (list, tuple)) and all(_is_int(s) and s >= 0 for s in v)
 
 
 @dataclass(frozen=True)
@@ -99,32 +82,31 @@ class ExperimentConfig:
         the field's name; a list of state kinds or of direction seeds (as a
         JSON --config gives them) becomes a tuple."""
         def check(ok: bool, key: str, want: str):
-            if not ok:
-                raise BadConfig(f"config {key} must be {want}, got {getattr(self, key)!r}")
+            check_config(ok, key, getattr(self, key), want)
 
         check(self.experiment in EXPERIMENTS, "experiment", f"one of {', '.join(EXPERIMENTS)}")
         kinds = self.state_kinds
         check(isinstance(kinds, (list, tuple)) and all(isinstance(k, str) for k in kinds),
               "state_kinds", "a list of state kind names")
         object.__setattr__(self, "state_kinds", tuple(kinds))
-        check(_is_int(self.seed) and self.seed >= 0, "seed", "a nonnegative integer")
+        check(is_int(self.seed) and self.seed >= 0, "seed", "a nonnegative integer")
         check(self.normalization in NORMALIZATIONS, "normalization",
               f"one of {', '.join(NORMALIZATIONS)}")
         level = self.noise_level
-        check(level is None or (_is_real(level) and math.isfinite(level) and level >= 0),
+        check(level is None or (is_finite(level) and level >= 0),
               "noise_level", "null or a finite nonnegative number")
         check(isinstance(self.pulse_level, bool), "pulse_level", "true or false")
-        if self.direction_seeds is not None:
-            check(_int_list(self.direction_seeds), "direction_seeds",
-                  "null or a list of nonnegative integers")
-            object.__setattr__(self, "direction_seeds", tuple(self.direction_seeds))
+        if (seeds := self.direction_seeds) is not None:
+            check(isinstance(seeds, (list, tuple)) and all(is_int(s) and s >= 0 for s in seeds),
+                  "direction_seeds", "null or a list of nonnegative integers")
+            object.__setattr__(self, "direction_seeds", tuple(seeds))
         check(isinstance(self.optimizer, OptimizerConfig), "optimizer", "an OptimizerConfig")
         check(isinstance(self.params, SpinSystemParams), "params", "a SpinSystemParams")
         check(self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike)), "out_dir",
               "null or a path")
-        check(_is_real(self.delta_t) and math.isfinite(self.delta_t) and self.delta_t > 0,
-              "delta_t", "a positive finite number of seconds")
-        check(_is_int(self.n_steps) and self.n_steps >= 1, "n_steps", "an integer of at least 1")
+        check(is_finite(self.delta_t) and self.delta_t > 0, "delta_t",
+              "a positive finite number of seconds")
+        check(is_int(self.n_steps) and self.n_steps >= 1, "n_steps", "an integer of at least 1")
         check(isinstance(self.write_timing, bool), "write_timing", "true or false")
 
     def seeds(self) -> tuple:
@@ -174,6 +156,7 @@ def perturb_deviation(dev: DeviationState, level: float,
     perturbation scaled to the deviation amplitude (incoherent floor)."""
     u = np.kron(_small_rotation(rng, level), _small_rotation(rng, level))
     delta = u @ dev.delta @ u.conj().T
+    delta = (delta + delta.conj().T) / 2.0    # drop the rotation's anti-Hermitian rounding
     scale = np.linalg.norm(dev.delta)
     delta = delta + (level / 4.0) * scale * _random_traceless_hermitian(rng)
     return DeviationState(delta=delta, epsilon=dev.epsilon)
@@ -182,14 +165,21 @@ def perturb_deviation(dev: DeviationState, level: float,
 # --- shared pieces -------------------------------------------------------------
 
 
-def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> DensityMatrix:
+def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> tuple[DeviationState, DensityMatrix]:
+    """The prepared deviation, perturbed when noise is on, and its state."""
     level = "pulse" if (config.pulse_level and kind != "CC") else "deviation"
-    state = prepare_state(kind, config.params, level=level)
+    dev = prepare_deviation(kind, config.params, level=level)
     if config.noise_level is not None:
-        dev = extract_deviation(state, config.params.epsilon)
         dev = perturb_deviation(dev, config.noise_level, noise_rng)
-        state = compose_deviation(dev)
-    return state
+    return dev, compose_deviation(dev)
+
+
+def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
+    """(deviation or None for the Bloch form, state) of a state document."""
+    parsed = state_from_json(state_doc)
+    if isinstance(parsed, DeviationState):
+        return parsed, compose_deviation(parsed)
+    return None, parsed
 
 
 def _witness_with_cross_check(state: DensityMatrix, config: ExperimentConfig,
@@ -252,10 +242,9 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     corr_lines = ["state_id,I,Q,C,units,theta_a,phi_a,theta_b,phi_b"]
     cross_max = 0.0
     for kind in config.state_kinds:
-        state = _prepare(kind, config, noise_rng)
+        dev, state = _prepare(kind, config, noise_rng)
         rep, gap = _witness_with_cross_check(state, config)
         cross_max = max(cross_max, gap)
-        dev = extract_deviation(state, config.params.epsilon)
         corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
         o = ",".join(f"{v:.12g}" for v in rep.o)
@@ -277,10 +266,8 @@ def run_fig3(config: ExperimentConfig) -> RunReport:
     element_lines = ["state,row,col,re,im"]
     distance_lines = ["state,normalized_trace_distance"]
     for kind in config.state_kinds:
-        state = _prepare(kind, config, noise_rng)
-        dev = extract_deviation(state, config.params.epsilon)
-        ideal = DeviationState(delta=ideal_deviation(kind, config.params),
-                               epsilon=config.params.epsilon)
+        dev, _ = _prepare(kind, config, noise_rng)
+        ideal = prepare_deviation(kind, config.params)
         dist = normalized_trace_distance(ideal, dev)
         for i in range(4):
             for j in range(4):
@@ -306,7 +293,7 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
     files = {}
-    state = _prepare("QC", config, noise_rng)
+    _, state = _prepare("QC", config, noise_rng)
     _, cross_max = _witness_with_cross_check(state, config, include_o4=False)
     series = dynamics_sweep(state, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
@@ -333,14 +320,8 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     """Full analysis bundle for a user-supplied state."""
     t0 = time.perf_counter()
     files = {}
-    parsed = state_from_json(state_doc)
-    if isinstance(parsed, DeviationState):
-        dev = parsed
-        state = compose_deviation(dev)
-        eps_corr = discord_epsilon(dev).to_json()
-    else:
-        state = parsed
-        eps_corr = None
+    dev, state = _read_state(state_doc)
+    eps_corr = None if dev is None else discord_epsilon(dev).to_json()
 
     direction = sample_direction(config.seed)
     circuit_rep = witness(state, direction, mode="circuit", seed=config.seed)
@@ -365,14 +346,9 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
 
 def validate_state_doc(state_doc: dict) -> dict:
     """Parse and validate a state document; raises on any invariant failure."""
-    parsed = state_from_json(state_doc)
-    if isinstance(parsed, DeviationState):
-        state = compose_deviation(parsed)
-        form = "deviation"
-    else:
-        state, form = parsed, "bloch"
+    dev, state = _read_state(state_doc)
     return {
-        "form": form,
+        "form": "bloch" if dev is None else "deviation",
         "trace": float(np.trace(state.matrix).real),
         "min_eigenvalue": float(np.linalg.eigvalsh(state.matrix).min()),
         "mutual_information_bits": mutual_information(state),

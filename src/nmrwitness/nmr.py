@@ -19,6 +19,7 @@ witness steps.  Instantaneous pulses are closed-form SU(2) rotations; only
 the finite pulse model calls ``expm``, when a cache entry is first built.
 """
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .circuit import cnot, step_readout, witness_sum
+from .circuit import Gate, cnot, protocol_state, step_readout, witness_sum
 from .correlations import epsilon_correlations
-from .errors import BadIndex, SequenceMismatch, UnknownKind
+from .errors import SequenceMismatch, UnknownKind, check_config, is_finite
 from .pauli import (
     IDENTITY_2,
     IDENTITY_4,
@@ -44,7 +45,6 @@ from .states import (
     DensityMatrix,
     DeviationState,
     compose_deviation,
-    extract_deviation,
     extract_deviations,
     from_pauli_table,
     pauli_table,
@@ -69,17 +69,17 @@ class SpinSystemParams:
     offset_h: float = 0.0              # Hz, rotating-frame offset (on resonance)
     offset_c: float = 0.0              # Hz
 
-    _POSITIVE = ("j_coupling", "t1_h", "t1_c", "t2s_h", "t2s_c",
-                 "pulse_pi2_h", "pulse_pi2_c", "epsilon", "gamma_ratio")
-
     def __post_init__(self):
-        for name in self._POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        """Every field a finite number, all but the offsets positive; each
+        failure raises BadConfig naming the field."""
+        for f in dataclasses.fields(self):
+            v, offset = getattr(self, f.name), f.name.startswith("offset_")
+            check_config(is_finite(v) and (offset or v > 0), f"params.{f.name}", v,
+                         "a finite number" if offset else "a positive finite number")
         # T2* is the total transverse rate; it cannot be slower than the
         # longitudinal contribution alone.
-        if self.t2s_h > 2 * self.t1_h or self.t2s_c > 2 * self.t1_c:
-            raise ValueError("T2* must not exceed 2*T1")
+        check_config(self.t2s_h <= 2 * self.t1_h, "params.t2s_h", self.t2s_h, "at most 2 * t1_h")
+        check_config(self.t2s_c <= 2 * self.t1_c, "params.t2s_c", self.t2s_c, "at most 2 * t1_c")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ def free_evolution_propagator(tau: float, params: SpinSystemParams) -> np.ndarra
 def free_evolution(rho: DensityMatrix, tau: float, params: SpinSystemParams) -> DensityMatrix:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    u = free_evolution_propagator(tau, params)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return DensityMatrix(_run(rho.matrix, (free_evolution_propagator(tau, params),)))
 
 
 def _rf_axis(phase: float) -> tuple:
@@ -217,13 +216,12 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
 
 def rf_pulse(rho: DensityMatrix, event: PulseEvent, params: SpinSystemParams,
              model: str = "instantaneous") -> DensityMatrix:
-    u = rf_propagator(event, params, model)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return DensityMatrix(_run(rho.matrix, (rf_propagator(event, params, model),)))
 
 
 def gradient_dephase(rho: DensityMatrix) -> DensityMatrix:
     """z-gradient crusher: full dephasing in the computational product basis."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)))
+    return DensityMatrix(_run(rho.matrix, (None,)))
 
 
 def _frozen(u: np.ndarray) -> np.ndarray:
@@ -234,7 +232,9 @@ def _frozen(u: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
     """A pulse program as its folded segments, in time order: one read-only
-    4x4 unitary per gradient-free run of events and None per gradient."""
+    4x4 unitary per gradient-free run of events and None per gradient.
+    Each folded unitary passes ``circuit.Gate``'s unitarity check once, when
+    the cache entry is built (ValueError otherwise)."""
     out = []
     for ev in events:
         if ev.kind == "gradient":
@@ -248,7 +248,16 @@ def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
             out[-1] = step @ out[-1]
         else:
             out.append(step)
-    return tuple(u if u is None else _frozen(u) for u in out)
+    return tuple(u if u is None else Gate(u, label="pulse program segment").unitary for u in out)
+
+
+def _run(m: np.ndarray, segments: tuple) -> np.ndarray:
+    """m after the folded ``_segments``: u m u^dag per unitary, the diagonal
+    per gradient.  Each is linear and fixes I/4, so it serves rho and delta
+    alike; it checks nothing."""
+    for u in segments:
+        m = np.diag(np.diag(m)) if u is None else u @ m @ u.conj().T
+    return m
 
 
 def sequence_propagator(events: list, params: SpinSystemParams,
@@ -264,10 +273,10 @@ def sequence_propagator(events: list, params: SpinSystemParams,
 def apply_sequence(rho: DensityMatrix, events: list, params: SpinSystemParams,
                    model: str = "instantaneous") -> DensityMatrix:
     """Run a pulse program on rho: each folded gradient-free segment is
-    applied once (one state check per segment), and each gradient dephases."""
-    for u in _segments(tuple(events), params, model):
-        rho = gradient_dephase(rho) if u is None else DensityMatrix(u @ rho.matrix @ u.conj().T)
-    return rho
+    applied once and each gradient dephases (``_run``), with one state check
+    of the result.  A unitary or dephasing map of a state is a state, and
+    each segment's unitarity is checked when its cache entry is built."""
+    return DensityMatrix(_run(rho.matrix, _segments(tuple(events), params, model)))
 
 
 def propagator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -325,8 +334,7 @@ def _checked_cnot(params: SpinSystemParams, model: str) -> np.ndarray:
 
 def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
                    model: str = "instantaneous") -> DensityMatrix:
-    u = _checked_cnot(params or SpinSystemParams(), model)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return DensityMatrix(_run(rho.matrix, (_checked_cnot(params or SpinSystemParams(), model),)))
 
 
 # --- relaxation ---------------------------------------------------------------
@@ -396,17 +404,11 @@ def relaxation_fixed_point(params: SpinSystemParams) -> DensityMatrix:
     return DensityMatrix(np.kron(qubit_h, qubit_c))
 
 
-def _ket(i: int, j: int) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[2 * i + j] = 1.0
-    return v
-
-
 _IDEAL_DEVIATIONS = {
     "QC": (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
            - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4.0,
-    "CC": -np.kron(SIGMA_Z, SIGMA_Z).astype(complex),
-    "pseudo_pure_11": 2.0 * (np.outer(_ket(1, 1), _ket(1, 1).conj()) - IDENTITY_4 / 4.0),
+    "CC": np.diag([-1.0, 1.0, 1.0, -1.0]).astype(complex),   # -sz x sz
+    "pseudo_pure_11": np.diag([-0.5, -0.5, -0.5, 1.5]).astype(complex),   # 2 (|11><11| - I/4)
 }
 
 # Spatial averaging keeps 1/4 of the thermal hydrogen amplitude (the 5pi/12 and
@@ -460,45 +462,39 @@ def pseudo_epr_events() -> list:
     return list(_PSEUDO_EPR)
 
 
-def _pulse_level_deviation(events: list, params: SpinSystemParams, model: str) -> np.ndarray:
-    rho = apply_sequence(thermal_equilibrium_state(params), events, params, model)
-    dev = extract_deviation(rho, params.epsilon)
-    return PP_CALIBRATION * dev.delta
+@functools.lru_cache(maxsize=64)
+def _pulse_deviation(kind: str, params: SpinSystemParams, model: str) -> DeviationState:
+    """The checked pulse-level deviation of ``kind``, a cached read-only
+    constant; lru_cache keeps no exception, so a failure raises every call."""
+    thermal_equilibrium_state(params)   # NotAState if epsilon admits no thermal state
+    delta = _run(thermal_deviation(params), _segments(_PREPARATIONS[kind], params, model))
+    delta = PP_CALIBRATION * delta
+    dist = trace_norm(delta - _IDEAL_DEVIATIONS[kind]) / 2
+    if dist > PULSE_PREP_TOLERANCE:
+        raise SequenceMismatch(f"pulse-level {kind} preparation misses target by {dist:.4f}")
+    return DeviationState(delta=delta, epsilon=params.epsilon)
+
+
+def prepare_deviation(kind: str, params: SpinSystemParams | None = None,
+                      level: str = "deviation", model: str = "instantaneous") -> DeviationState:
+    """The deviation of a documented initial state: the ideal target at
+    deviation level; at pulse level the preparation program run on the
+    thermal deviation and checked against the target (CC has no program)."""
+    params = params or SpinSystemParams()
+    if level not in ("deviation", "pulse"):
+        raise ValueError(f"unknown level {level!r}")
+    if kind == "CC" and level == "pulse":
+        raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
+    if level == "deviation" or kind not in _PREPARATIONS:
+        return DeviationState(delta=ideal_deviation(kind, params), epsilon=params.epsilon)
+    return _pulse_deviation(kind, params, model)
 
 
 def prepare_state(kind: str, params: SpinSystemParams | None = None,
                   level: str = "deviation", model: str = "instantaneous") -> DensityMatrix:
-    """Prepare one of the documented initial states.
-
-    Deviation level injects the target deviation exactly; pulse level runs
-    the preparation sequence from thermal equilibrium and checks the result
-    against the ideal target (CC has no documented pulse program and is only
-    available at deviation level).
-    """
-    params = params or SpinSystemParams()
-    if level not in ("deviation", "pulse"):
-        raise ValueError(f"unknown level {level!r}")
-
-    if kind == "thermal":
-        return thermal_equilibrium_state(params)
-
-    if kind not in _IDEAL_DEVIATIONS:
-        raise UnknownKind(f"unknown state kind {kind!r}")
-
-    if level == "deviation":
-        return compose_deviation(
-            DeviationState(delta=_IDEAL_DEVIATIONS[kind], epsilon=params.epsilon)
-        )
-
-    if kind == "CC":
-        raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
-    delta = _pulse_level_deviation(_PREPARATIONS[kind], params, model)
-    dist = trace_norm(delta - _IDEAL_DEVIATIONS[kind]) / 2
-    if dist > PULSE_PREP_TOLERANCE:
-        raise SequenceMismatch(
-            f"pulse-level {kind} preparation misses target by {dist:.4f}"
-        )
-    return compose_deviation(DeviationState(delta=delta, epsilon=params.epsilon))
+    """I/4 + epsilon * ``prepare_deviation(kind, params, level, model)``,
+    composed once; raises NotAState if epsilon is too large for it."""
+    return compose_deviation(prepare_deviation(kind, params, level, model))
 
 
 # --- pulse-level witness circuit ----------------------------------------------
@@ -522,10 +518,7 @@ def pulse_protocol_state(rho: DensityMatrix, i: int, params: SpinSystemParams,
                          model: str = "instantaneous") -> DensityMatrix:
     """One witness circuit step of ``pulse_step_unitaries``, xi_i =
     U_i rho U_i^dag."""
-    if i not in (1, 2, 3):
-        raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
-    u = pulse_step_unitaries(params, model)[i - 1]
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return protocol_state(rho, i, pulse_step_unitaries(params, model))
 
 
 # --- relaxation sweep ----------------------------------------------------------

@@ -5,7 +5,9 @@ principles: explicit spinors for each grid direction, explicit projector
 sandwiches, explicit partial traces.  No code is shared with the production
 optimizer, which works from Pauli coefficients.  Likewise the relaxation
 oracle is the explicit Kraus sum of the channel, while the production
-``relax`` is an affine map on the Pauli table.
+``relax`` is an affine map on the Pauli table, and the pulse-program oracle
+runs the per-event propagators one at a time in extended precision, while
+the production kernel applies folded float segments.
 """
 
 import numpy as np
@@ -176,6 +178,28 @@ def relax_kraus(rho: np.ndarray, t: float, qubit_a: tuple, qubit_b: tuple) -> np
             k = np.kron(ka, kb)
             out += k @ rho @ k.conj().T
     return out
+
+
+# --- pulse programs ---------------------------------------------------------------
+
+
+def run_pulse_program_extended(m: np.ndarray, steps: list, digits: int = 50) -> np.ndarray:
+    """The 4x4 matrix m after a pulse program, with every product evaluated
+    in ``digits``-digit arithmetic (mpmath) and rounded to complex128 once at
+    the end.  ``steps`` lists, in time order, each event's float propagator
+    (a 4x4 unitary, taken as exact) or None for a gradient, which keeps the
+    diagonal."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        out = mpmath.matrix(np.asarray(m).tolist())
+        for u in steps:
+            if u is None:
+                out = mpmath.diag([out[i, i] for i in range(4)])
+            else:
+                u = mpmath.matrix(np.asarray(u).tolist())
+                out = u * out * u.transpose_conj()
+        return np.array([[complex(out[i, j]) for j in range(4)] for i in range(4)])
 
 
 # --- state validators ------------------------------------------------------------

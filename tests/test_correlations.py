@@ -242,6 +242,30 @@ class TestSymmetricDiscord:
         with pytest.raises(OptimizerFailure):
             symmetric_discord(bell_phi_plus(), opt)
 
+    def test_only_converged_starts_are_chosen(self, rng, monkeypatch):
+        import nmrwitness.correlations as correlations
+
+        rho = random_density_matrix(rng)
+        want = symmetric_discord(rho)
+        real = correlations.minimize
+        fake_x = np.array([1.0, 2.0, 0.5, 4.0])
+        calls = []
+
+        def first_start_fails_with_the_best_value(fun, x0, **kwargs):
+            calls.append(x0)
+            res = real(fun, x0, **kwargs)
+            if len(calls) == 1:
+                res.x, res.fun, res.success = fake_x, -10.0, False
+            return res
+
+        monkeypatch.setattr(correlations, "minimize", first_start_fails_with_the_best_value)
+        got = symmetric_discord(rho)
+        assert len(calls) == OptimizerConfig().refine_starts
+        fake_angles = (*correlations._canonical_angles(direction(*fake_x[:2])),
+                       *correlations._canonical_angles(direction(*fake_x[2:])))
+        assert got.argmax_basis.angles() != fake_angles
+        assert abs(got.classical - want.classical) < 1e-9
+
     def test_report_serialization(self):
         rep = symmetric_discord(bell_phi_plus())
         doc = rep.to_json()

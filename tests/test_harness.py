@@ -8,6 +8,7 @@ from nmrwitness import (
     ClassicalSpec,
     DeviationState,
     ExperimentConfig,
+    OptimizerConfig,
     classical_state,
     extract_deviation,
     perturb_deviation,
@@ -52,6 +53,12 @@ class TestFig2:
         assert (tmp_path / "correlations.csv").exists()
         assert (tmp_path / "report.json").exists()
 
+    def test_deviation_level_correlations_are_exact(self):
+        corr = {row["state"]: row["correlations"] for row in run_fig2(ExperimentConfig()).rows}
+        assert (corr["QC"]["I"], corr["QC"]["Q"], corr["QC"]["C"]) == (6.0, 4.0, 2.0)
+        assert (corr["CC"]["I"], corr["CC"]["Q"], corr["CC"]["C"]) == (8.0, 0.0, 8.0)
+        assert (corr["thermal"]["I"], corr["thermal"]["C"]) == (0.0, 0.0)
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_fig2(ExperimentConfig(seed=7, out_dir=str(out1)))
@@ -85,6 +92,13 @@ class TestFig3:
         report = run_fig3(ExperimentConfig())
         for row in report.rows:
             assert row["distance_to_ideal"] <= 1e-10
+
+    def test_deviation_level_is_exact(self):
+        report = run_fig3(ExperimentConfig())
+        assert [row["distance_to_ideal"] for row in report.rows] == [0.0, 0.0, 0.0]
+        qc = next(r for r in report.rows if r["state"] == "QC")
+        assert np.diag(qc["delta_re"]).tolist() == [-0.5, 0.5, 0.5, -0.5]
+        assert qc["delta_re"][1][2] == qc["delta_re"][2][1] == 1.0
 
     def test_qc_deviation_pattern(self):
         report = run_fig3(ExperimentConfig())
@@ -328,12 +342,42 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         self._one_line_exit_2(capsys, ["fig4", "--config", str(cfg)], f"config {key} must be")
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("fig2", {"params": {"t1_h": "x"}}, "params.t1_h"),
+        ("fig2", {"params": {"t1_h": True}}, "params.t1_h"),
+        ("custom", {"optimizer": {"maxiter": "x"}}, "optimizer.maxiter"),
+        ("custom", {"optimizer": {"grid_points": 0}}, "optimizer.grid_points"),
+    ])
+    def test_wrong_nested_config_value_exit_2(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}))
+        argv = [command, str(state)] if command == "custom" else [command]
+        self._one_line_exit_2(capsys, [*argv, "--config", str(cfg)], f"config {key} must be")
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", 0), ("grid_points", 2.0), ("grid_points", "x"), ("refine_starts", 0),
+        ("refine_starts", True), ("maxiter", 0), ("maxiter", "x"), ("xatol", -1e-9),
+        ("xatol", float("nan")), ("fatol", "x"), ("fatol", float("inf")),
+        ("start_separation", -0.1), ("start_separation", None),
+    ])
+    def test_optimizer_config_checks_each_field(self, field, value):
+        with pytest.raises(BadConfig, match=rf"^config optimizer\.{field} must be"):
+            OptimizerConfig(**{field: value})
+
+    def test_over_noised_state_is_not_a_state(self):
+        cfg = ExperimentConfig(noise_level=20.0, params=SpinSystemParams(epsilon=0.1))
+        with pytest.raises(NotAState):
+            run_fig2(cfg)
+
     @pytest.mark.parametrize("field, value", [
         ("experiment", "fig5"), ("state_kinds", "QC"), ("state_kinds", [1]), ("seed", -1),
         ("seed", 1.5), ("seed", True), ("normalization", "peak"), ("noise_level", -0.1),
         ("noise_level", float("nan")), ("pulse_level", 1), ("direction_seeds", [1, -2]),
         ("direction_seeds", 3), ("optimizer", {}), ("params", None), ("out_dir", 3),
-        ("delta_t", 0.0), ("delta_t", float("inf")), ("delta_t", True), ("n_steps", 0),
+        ("delta_t", 0.0), ("delta_t", float("inf")), ("delta_t", True), ("delta_t", 10**400),
+        ("n_steps", 0),
         ("n_steps", 2.0), ("write_timing", "yes"),
     ])
     def test_experiment_config_checks_each_field(self, field, value):

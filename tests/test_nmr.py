@@ -28,8 +28,9 @@ from nmrwitness import (
     sample_direction,
     witness,
 )
-from nmrwitness.errors import BadIndex, SequenceMismatch, UnknownKind
+from nmrwitness.errors import BadConfig, BadIndex, NotAState, SequenceMismatch, UnknownKind
 from nmrwitness.nmr import (
+    PP_CALIBRATION,
     PulseEvent,
     SpinSystemParams,
     apply_sequence,
@@ -37,6 +38,8 @@ from nmrwitness.nmr import (
     delay,
     dynamics_sweep,
     free_evolution_propagator,
+    ideal_deviation,
+    prepare_deviation,
     propagator_fidelity,
     pseudo_epr_events,
     pseudo_pure_11_events,
@@ -54,7 +57,7 @@ from nmrwitness.circuit import cnot
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
 
 from conftest import ket_projector, random_density_matrix, triplet
-from oracles import relax_kraus
+from oracles import relax_kraus, run_pulse_program_extended
 
 PARAMS = SpinSystemParams()
 
@@ -73,6 +76,23 @@ class TestParams:
     def test_rejects_transverse_slower_than_longitudinal(self):
         with pytest.raises(ValueError):
             SpinSystemParams(t2s_h=10.0, t1_h=1.0)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SpinSystemParams)])
+    @pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("inf"), 10**400])
+    def test_checks_the_type_of_each_field(self, field, value):
+        with pytest.raises(BadConfig, match=rf"^config params\.{field} must be"):
+            SpinSystemParams(**{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SpinSystemParams)
+                                       if not f.name.startswith("offset_")])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_checks_the_range_of_each_field(self, field, value):
+        with pytest.raises(BadConfig, match=rf"^config params\.{field} must be a positive"):
+            SpinSystemParams(**{field: value})
+
+    def test_accepts_integers_and_negative_offsets(self):
+        params = SpinSystemParams(j_coupling=215, t1_h=3, offset_h=-120)
+        assert (params.j_coupling, params.t1_h, params.offset_h) == (215, 3, -120)
 
 
 class TestPulseEvent:
@@ -267,6 +287,24 @@ class TestCachedPropagators:
                 pulse_step_unitaries(bad, "finite")
             with pytest.raises(SequenceMismatch):
                 prepare_state("QC", bad, level="pulse", model="finite")
+            with pytest.raises(SequenceMismatch):
+                prepare_deviation("QC", bad, level="pulse", model="finite")
+
+    def test_non_unitary_segment_raises_when_the_cache_fills(self, monkeypatch):
+        import nmrwitness.nmr as nmr
+
+        def scaled(tau, params):
+            return free_evolution_propagator(tau, params) * (1 + 1e-9)
+
+        monkeypatch.setattr(nmr, "free_evolution_propagator", scaled)
+        nmr._segments.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not unitary"):
+                sequence_propagator(cnot_events(), PARAMS)
+            with pytest.raises(ValueError, match="not unitary"):
+                apply_sequence(thermal_equilibrium_state(PARAMS), pseudo_pure_11_events(), PARAMS)
+        finally:
+            nmr._segments.cache_clear()
 
     def test_instantaneous_model_needs_no_expm(self, monkeypatch):
         import nmrwitness.nmr as nmr
@@ -275,7 +313,8 @@ class TestCachedPropagators:
             raise AssertionError("expm called by the instantaneous model")
 
         monkeypatch.setattr(nmr, "expm", no_expm)
-        for cached in (nmr._segments, nmr._checked_cnot, nmr.pulse_step_unitaries):
+        for cached in (nmr._segments, nmr._checked_cnot, nmr.pulse_step_unitaries,
+                       nmr._pulse_deviation):
             cached.cache_clear()
         prepare_state("QC", PARAMS, level="pulse")
         pulse_step_unitaries(PARAMS)
@@ -401,6 +440,46 @@ class TestPrepareState:
         prep = extract_deviation(
             prepare_state("pseudo_pure_11", PARAMS, level="pulse"), PARAMS.epsilon)
         assert normalized_trace_distance(ideal, prep) <= 0.02
+
+    @pytest.mark.parametrize("kind", ["QC", "CC", "pseudo_pure_11", "thermal"])
+    def test_deviation_level_is_the_ideal_deviation(self, kind):
+        dev = prepare_deviation(kind, PARAMS)
+        assert np.array_equal(dev.delta, ideal_deviation(kind, PARAMS))
+        assert dev.epsilon == PARAMS.epsilon
+
+    @pytest.mark.parametrize("model", ["instantaneous", "finite"])
+    @pytest.mark.parametrize("kind", ["QC", "pseudo_pure_11"])
+    def test_pulse_level_matches_extended_precision(self, kind, model):
+        pytest.importorskip("mpmath")
+        events = pseudo_pure_11_events() + (pseudo_epr_events() if kind == "QC" else [])
+        steps = [None if ev.kind == "gradient"
+                 else rf_propagator(ev, PARAMS, model) if ev.kind == "rf"
+                 else free_evolution_propagator(ev.j_units / PARAMS.j_coupling, PARAMS)
+                 for ev in events]
+        want = PP_CALIBRATION * run_pulse_program_extended(thermal_deviation(PARAMS), steps)
+        got = prepare_deviation(kind, PARAMS, level="pulse", model=model).delta
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_pulse_level_deviation_is_a_cached_constant(self):
+        dev = prepare_deviation("QC", PARAMS, level="pulse")
+        assert prepare_deviation("QC", PARAMS, level="pulse") is dev
+        with pytest.raises(ValueError):
+            dev.delta[0, 0] = 0.0
+
+    @pytest.mark.parametrize("level", ["deviation", "pulse"])
+    def test_prepare_state_composes_the_deviation(self, level):
+        for kind in ("QC", "pseudo_pure_11", "thermal"):
+            dev = prepare_deviation(kind, PARAMS, level=level)
+            rho = prepare_state(kind, PARAMS, level=level)
+            assert np.array_equal(rho.matrix, IDENTITY_4 / 4 + PARAMS.epsilon * dev.delta)
+
+    def test_pulse_level_needs_a_thermal_state(self):
+        # At epsilon = 0.45 the thermal form I/4 + epsilon delta is not a
+        # state, while the pulse-level QC deviation would compose to one.
+        params = dataclasses.replace(PARAMS, epsilon=0.45)
+        for _ in range(2):
+            with pytest.raises(NotAState):
+                prepare_state("QC", params, level="pulse")
 
     def test_pulse_level_cc_unsupported(self):
         with pytest.raises(UnknownKind):
