@@ -12,7 +12,7 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from nmrwitness import dynamics_sweep, prepare_state
+from nmrwitness import dynamics_sweep, prepare_deviation
 from nmrwitness.nmr import SpinSystemParams
 
 
@@ -30,7 +30,7 @@ def main():
     for sh in args.scales:
         for sc in args.scales:
             params = replace(base, t2s_h=base.t2s_h * sh, t2s_c=base.t2s_c * sc)
-            series = dynamics_sweep(prepare_state("QC", params), args.dt,
+            series = dynamics_sweep(prepare_deviation("QC", params), args.dt,
                                     args.steps, params)
             t_w = series.first_time_below("witness_values", 0.05)
             t_q = series.first_time_below("quantum", 0.01 * series.quantum[0])

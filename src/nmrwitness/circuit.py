@@ -6,6 +6,10 @@ w_i I x sigma_i).  Each correlation <O_i> can be read from a single local
 x-magnetization after a global rotation and a CNOT: step 1 uses no rotation
 (reads sigma_x sigma_x), step 2 rotates both qubits by pi/2 about z (reads
 sigma_y sigma_y), step 3 rotates about y (reads sigma_z sigma_z).
+
+The circuit is read in the Heisenberg picture, tr(m A_i) with
+A_i = U_i^dag (sigma_x x I) U_i; every A_i is traceless, so one read serves
+rho and the deviation delta of rho = I/4 + epsilon delta.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ import numpy as np
 
 from .errors import BadIndex
 from .pauli import AXES, SIGMA_X, on_a, su2
-from .states import DensityMatrix, pauli_table, validate_states
+from .states import DensityMatrix, DeviationState, pauli_table
 
 UNITARITY_TOL = 1e-12
 
@@ -70,31 +74,21 @@ class WitnessDirection:
 
 @dataclass(frozen=True)
 class ProtocolReadout:
-    """Expectations <O_1>..<O_4> and the three post-circuit states, of one
-    state (``o`` of shape (4,), ``states`` the (3, 4, 4) matrices xi_1..xi_3)
-    or of a stack of states (shapes (..., 4) and (..., 3, 4, 4))."""
+    """Expectations <O_1>..<O_4> of one state, shape (4,), or the first k of
+    a stack of states, shape (..., k), in units of rho; ValueError names the
+    first readout over its bound."""
 
     o: np.ndarray
-    states: np.ndarray
 
     def __post_init__(self):
-        v = _check_bounds(np.array(self.o, dtype=float))
-        v.flags.writeable = False
-        object.__setattr__(self, "o", v)
-        xi = np.array(self.states, dtype=complex)
-        xi.flags.writeable = False
-        object.__setattr__(self, "states", xi)
-
-
-def _check_bounds(o: np.ndarray) -> np.ndarray:
-    """``o`` after checking each readout (..., k) against the first k of
-    _READOUT_BOUNDS; ValueError names the first one over its bound."""
-    bounds = _READOUT_BOUNDS[:o.shape[-1]]
-    over = np.abs(o) > bounds + 1e-9
-    if over.any():
-        k = np.unravel_index(int(np.argmax(over)), over.shape)
-        raise ValueError(f"readout {o[k]} exceeds its bound {bounds[k[-1]]}")
-    return o
+        o = np.array(self.o, dtype=float)
+        bounds = _READOUT_BOUNDS[:o.shape[-1]]
+        over = np.abs(o) > bounds + 1e-9
+        if over.any():
+            k = np.unravel_index(int(np.argmax(over)), over.shape)
+            raise ValueError(f"readout {o[k]} exceeds its bound {bounds[k[-1]]}")
+        o.flags.writeable = False
+        object.__setattr__(self, "o", o)
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -136,21 +130,17 @@ _SIGMA_X_A = on_a(SIGMA_X)
 
 def protocol_state(rho: DensityMatrix, i: int,
                    unitaries: np.ndarray = STEP_UNITARIES) -> DensityMatrix:
-    """xi_i = U_i rho U_i^dag, the state read out at step i; ``unitaries``
-    is the (3, 4, 4) step stack, as in ``run_protocol``."""
+    """xi_i = U_i rho U_i^dag, the state ``step_readout`` reads at step i;
+    ``unitaries`` is the (3, 4, 4) step stack, as in ``run_protocol``."""
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
     u = unitaries[i - 1]
     return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
-def _sigma_x_a(m: np.ndarray) -> np.ndarray:
-    return np.trace(m @ _SIGMA_X_A, axis1=-2, axis2=-1).real
-
-
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
     """x-magnetization of qubit a, tr(xi . sigma_x x I)."""
-    return float(_sigma_x_a(xi.matrix))
+    return xi.expectation(_SIGMA_X_A)
 
 
 def local_magnetizations(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -172,36 +162,35 @@ def sample_direction(seed: int) -> WitnessDirection:
     return WitnessDirection(z=z / np.linalg.norm(z), w=w / np.linalg.norm(w))
 
 
-def run_protocol(rho: DensityMatrix, dir: WitnessDirection,
+def _linear_input(state: DensityMatrix | DeviationState) -> tuple[np.ndarray, float]:
+    """(m, scale) = (rho, 1) or (delta, epsilon); a traceless readout of state is scale x m's."""
+    return (state.delta, state.epsilon) if isinstance(state, DeviationState) else (state.matrix, 1.0)
+
+
+def run_protocol(state: DensityMatrix | DeviationState, dir: WitnessDirection,
                  unitaries: np.ndarray = STEP_UNITARIES) -> ProtocolReadout:
-    """Execute the three circuit runs plus the local O_4 read.  ``unitaries``
-    is the (3, 4, 4) stack of step unitaries: the ideal gates by default, or
-    a pulse-level realization such as ``nmr.pulse_step_unitaries``."""
-    return protocol_readout(rho.matrix, dir, unitaries)
+    """Execute the three circuit runs plus the local O_4 read of rho or delta.
+    ``unitaries`` is the (3, 4, 4) stack of step unitaries: the ideal gates
+    by default, or a pulse-level realization (``nmr.pulse_step_unitaries``)."""
+    m, scale = _linear_input(state)
+    return ProtocolReadout(o=scale * np.append(step_readout(m, unitaries), _o4(pauli_table(m), dir)))
 
 
-def step_readout(m: np.ndarray, unitaries: np.ndarray = STEP_UNITARIES) -> tuple[np.ndarray, np.ndarray]:
-    """The three circuit steps of one validated density matrix (4, 4) or of
-    a stack of them (..., 4, 4): every xi_i = U_i rho U_i^dag is formed at
-    once and validated as one stack, and read through tr(xi . sigma_x x I)
-    as the bound-checked <O_1>..<O_3>.  Returns (xi, o)."""
+def step_readout(m: np.ndarray, unitaries: np.ndarray = STEP_UNITARIES) -> np.ndarray:
+    """<O_1>..<O_3> = tr(m A_i), A_i = U_i^dag (sigma_x x I) U_i, of one 4x4
+    matrix or of a stack (..., 4, 4): one product of the flattened (..., 16)
+    matrices with a (16, 3) table.  Reads rho and delta alike; checks
+    nothing."""
     u = np.asarray(unitaries)
-    xi = validate_states(u @ np.asarray(m)[..., None, :, :] @ u.conj().swapaxes(-1, -2))
-    return xi, _check_bounds(_sigma_x_a(xi))
+    table = (u.conj().swapaxes(-1, -2) @ _SIGMA_X_A @ u).swapaxes(-1, -2).reshape(3, 16).T
+    m = np.asarray(m)
+    return (m.reshape(*m.shape[:-2], 16) @ table).real
 
 
-def protocol_readout(m: np.ndarray, dir: WitnessDirection,
-                     unitaries: np.ndarray = STEP_UNITARIES) -> ProtocolReadout:
-    """``step_readout`` plus <O_4> from the local magnetizations, for one
-    state or a stack of them."""
-    xi, o = step_readout(m, unitaries)
-    o = np.concatenate([o, _o4(pauli_table(m), dir)[..., None]], axis=-1)
-    return ProtocolReadout(o=o, states=xi)
-
-
-def _direct_expectations(rho: DensityMatrix, dir: WitnessDirection) -> np.ndarray:
-    r = pauli_table(rho.matrix)
-    return np.append(np.diag(r)[1:], _o4(r, dir))
+def _direct_expectations(state: DensityMatrix | DeviationState, dir: WitnessDirection) -> np.ndarray:
+    m, scale = _linear_input(state)
+    r = pauli_table(m)
+    return scale * np.append(np.diag(r)[1:], _o4(r, dir))
 
 
 @dataclass(frozen=True)
@@ -271,7 +260,7 @@ def witness_sum(
 
 
 def witness(
-    rho: DensityMatrix,
+    state: DensityMatrix | DeviationState,
     dir: WitnessDirection,
     mode: str = "circuit",
     normalization: str = "raw",
@@ -281,9 +270,9 @@ def witness(
 ) -> WitnessReport:
     """Evaluate the nonlinear witness W >= 0; W = 0 certifies classicality."""
     if mode == "circuit":
-        o = run_protocol(rho, dir).o.copy()
+        o = run_protocol(state, dir).o.copy()
     elif mode == "direct":
-        o = _direct_expectations(rho, dir)
+        o = _direct_expectations(state, dir)
     else:
         raise ValueError(f"mode must be 'circuit' or 'direct', got {mode!r}")
     return witness_from_expectations(

@@ -165,13 +165,14 @@ def perturb_deviation(dev: DeviationState, level: float,
 # --- shared pieces -------------------------------------------------------------
 
 
-def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> tuple[DeviationState, DensityMatrix]:
-    """The prepared deviation, perturbed when noise is on, and its state."""
+def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> DeviationState:
+    """The prepared deviation, perturbed when noise is on, checked as a state."""
     level = "pulse" if (config.pulse_level and kind != "CC") else "deviation"
     dev = prepare_deviation(kind, config.params, level=level)
     if config.noise_level is not None:
         dev = perturb_deviation(dev, config.noise_level, noise_rng)
-    return dev, compose_deviation(dev)
+    compose_deviation(dev)
+    return dev
 
 
 def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
@@ -182,7 +183,7 @@ def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
     return None, parsed
 
 
-def _witness_with_cross_check(state: DensityMatrix, config: ExperimentConfig,
+def _witness_with_cross_check(dev: DeviationState, config: ExperimentConfig,
                               include_o4: bool = True):
     """Best witness over the configured direction seeds, cross-checking the
     circuit readouts against the direct expectations for every seed."""
@@ -193,9 +194,9 @@ def _witness_with_cross_check(state: DensityMatrix, config: ExperimentConfig,
     for s in config.seeds():
         direction = sample_direction(s)
         rep = witness_from_expectations(
-            run_protocol(state, direction, unitaries).o, mode="circuit",
+            run_protocol(dev, direction, unitaries).o, mode="circuit",
             normalization=config.normalization, epsilon=eps, include_o4=include_o4, seed=s)
-        direct = witness(state, direction, mode="direct",
+        direct = witness(dev, direction, mode="direct",
                          normalization=config.normalization, epsilon=eps,
                          include_o4=include_o4, seed=s)
         worst_gap = max(worst_gap, float(np.max(np.abs(rep.o - direct.o))))
@@ -242,8 +243,8 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     corr_lines = ["state_id,I,Q,C,units,theta_a,phi_a,theta_b,phi_b"]
     cross_max = 0.0
     for kind in config.state_kinds:
-        dev, state = _prepare(kind, config, noise_rng)
-        rep, gap = _witness_with_cross_check(state, config)
+        dev = _prepare(kind, config, noise_rng)
+        rep, gap = _witness_with_cross_check(dev, config)
         cross_max = max(cross_max, gap)
         corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
@@ -266,7 +267,7 @@ def run_fig3(config: ExperimentConfig) -> RunReport:
     element_lines = ["state,row,col,re,im"]
     distance_lines = ["state,normalized_trace_distance"]
     for kind in config.state_kinds:
-        dev, _ = _prepare(kind, config, noise_rng)
+        dev = _prepare(kind, config, noise_rng)
         ideal = prepare_deviation(kind, config.params)
         dist = normalized_trace_distance(ideal, dev)
         for i in range(4):
@@ -293,9 +294,9 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
     files = {}
-    _, state = _prepare("QC", config, noise_rng)
-    _, cross_max = _witness_with_cross_check(state, config, include_o4=False)
-    series = dynamics_sweep(state, config.delta_t, config.n_steps, config.params)
+    dev = _prepare("QC", config, noise_rng)
+    _, cross_max = _witness_with_cross_check(dev, config, include_o4=False)
+    series = dynamics_sweep(dev, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
         "first_t_witness_below_bound": series.first_time_below(

@@ -4,7 +4,8 @@ Covers the on-resonance rotating-frame dynamics (J coupling plus rf pulses),
 the composite z-rotation and CNOT sequences, gradient dephasing, T1/T2*
 relaxation channels, preparation of the documented initial states at both
 deviation and pulse level, and the relaxation sweep that traces the witness
-and the correlation quantifiers over time.
+and the correlation quantifiers over time.  Preparation and the sweep work on
+the deviation delta of rho = I/4 + epsilon delta, never going rho -> delta.
 
 Pulse sequences are stored in time order (first event acts first).  The rf
 convention is exp(-i * angle * (cos(phase) sx + sin(phase) sy) / 2); under it
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .circuit import Gate, cnot, protocol_state, step_readout, witness_sum
+from .circuit import Gate, ProtocolReadout, cnot, protocol_state, step_readout, witness_sum
 from .correlations import epsilon_correlations
-from .errors import SequenceMismatch, UnknownKind, check_config, is_finite
+from .errors import EpsilonMismatch, SequenceMismatch, UnknownKind, check_config, is_finite
 from .pauli import (
     IDENTITY_2,
     IDENTITY_4,
@@ -45,10 +46,11 @@ from .states import (
     DensityMatrix,
     DeviationState,
     compose_deviation,
-    extract_deviations,
+    extract_deviation,
     from_pauli_table,
     pauli_table,
     trace_norm,
+    validate_deviations,
     validate_states,
 )
 
@@ -357,16 +359,24 @@ def _qubit_relax_maps(times: np.ndarray, t1: float, t2s: float, z_eq: float) -> 
     return m
 
 
-def _relaxed(m: np.ndarray, times: np.ndarray, params: SpinSystemParams) -> np.ndarray:
+def _relaxed(m: np.ndarray, times: np.ndarray, params: SpinSystemParams,
+             identity: float) -> np.ndarray:
     """The 4x4 matrix m relaxed for each time of ``times``, as one (N, 4, 4)
-    stack: R' = M_H(t) R M_C(t)^T on the Pauli table, and m itself at t = 0."""
+    stack: R' = M_H(t) R M_C(t)^T on the Pauli table, and m itself at t = 0.
+    The affine term acts on the identity weight R[0, 0] = ``identity``: 1 for
+    rho, 1/epsilon for the delta of rho = I/4 + epsilon delta (whose table
+    has none); the result keeps m's own R[0, 0]."""
     times = np.asarray(times, dtype=float)
     if not np.all(times >= 0):
         raise ValueError(f"t must be nonnegative, got {times}")
     eps = params.epsilon
     m_h = _qubit_relax_maps(times, params.t1_h, params.t2s_h, 2 * eps)
     m_c = _qubit_relax_maps(times, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
-    out = from_pauli_table(m_h @ pauli_table(m) @ m_c.swapaxes(-1, -2))
+    r = pauli_table(m)
+    trace, r[0, 0] = r[0, 0], identity
+    r = m_h @ r @ m_c.swapaxes(-1, -2)
+    r[:, 0, 0] = trace
+    out = from_pauli_table(r)
     out[times == 0] = m
     return out
 
@@ -376,7 +386,7 @@ def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatr
     Pauli table as R' = M_H R M_C^T."""
     if t == 0:
         return rho
-    return DensityMatrix(_relaxed(rho.matrix, [t], params)[0])
+    return DensityMatrix(_relaxed(rho.matrix, [t], params, 1.0)[0])
 
 
 # --- state preparation --------------------------------------------------------
@@ -405,10 +415,10 @@ def relaxation_fixed_point(params: SpinSystemParams) -> DensityMatrix:
 
 
 _IDEAL_DEVIATIONS = {
-    "QC": (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
-           - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4.0,
-    "CC": np.diag([-1.0, 1.0, 1.0, -1.0]).astype(complex),   # -sz x sz
-    "pseudo_pure_11": np.diag([-0.5, -0.5, -0.5, 1.5]).astype(complex),   # 2 (|11><11| - I/4)
+    "QC": _frozen((2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
+                   - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4.0),
+    "CC": _frozen(np.diag([-1.0, 1.0, 1.0, -1.0]).astype(complex)),   # -sz x sz
+    "pseudo_pure_11": _frozen(np.diag([-0.5, -0.5, -0.5, 1.5]).astype(complex)),   # 2 (|11><11| - I/4)
 }
 
 # Spatial averaging keeps 1/4 of the thermal hydrogen amplitude (the 5pi/12 and
@@ -420,7 +430,8 @@ PULSE_PREP_TOLERANCE = 0.02
 
 
 def ideal_deviation(kind: str, params: SpinSystemParams) -> np.ndarray:
-    """Target deviation matrix for one of the documented state kinds."""
+    """Target deviation matrix for one of the documented state kinds (a
+    shared read-only array except for the thermal kind)."""
     if kind == "thermal":
         return thermal_deviation(params)
     if kind in _IDEAL_DEVIATIONS:
@@ -524,26 +535,32 @@ def pulse_protocol_state(rho: DensityMatrix, i: int, params: SpinSystemParams,
 # --- relaxation sweep ----------------------------------------------------------
 
 
-def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
+def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_steps: int,
                    params: SpinSystemParams) -> DynamicsSeries:
     """Relax for t_n = n * delta_t, n = 0..n_steps-1, and at each point run
     the witness protocol (three-readout Bell-diagonal form, normalized to the
     thermal amplitude) and the expansion-order correlation quantifiers.
 
-    All steps form one stack: one relaxation of the Pauli tables, one
+    It runs on delta at ``params.epsilon``: ``state0`` is a DeviationState
+    at that epsilon (EpsilonMismatch otherwise) or a DensityMatrix, whose
+    delta is extracted once.  All steps form one stack: one relaxation, one
     circuit readout of <O_1>..<O_3> and one batched SVD, with each check
-    (states, post-circuit states, readout bounds, deviations) run once over
-    the stack.
+    (deviations, positivity of I/4 + epsilon delta, readout bounds) run once.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not (delta_t > 0 and math.isfinite(delta_t)):
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
+    eps = params.epsilon
+    if isinstance(state0, DensityMatrix):
+        state0 = extract_deviation(state0, eps)
+    elif state0.epsilon != eps:
+        raise EpsilonMismatch(f"deviation epsilon {state0.epsilon} vs params.epsilon {eps}")
     times = np.arange(n_steps) * delta_t
-    states = validate_states(_relaxed(rho0.matrix, times, params))
-    _, w = witness_sum(step_readout(states)[1], normalization="thermal",
-                       epsilon=params.epsilon, include_o4=False)
-    deltas = extract_deviations(states, params.epsilon)
+    deltas = validate_deviations(_relaxed(state0.delta, times, params, 1.0 / eps), eps)
+    validate_states(IDENTITY_4 / 4.0 + eps * deltas)   # a check only; no value is read from rho
+    _, w = witness_sum(ProtocolReadout(o=eps * step_readout(deltas)).o, normalization="thermal",
+                       epsilon=eps, include_o4=False)
     iqc = epsilon_correlations(deltas)
     return DynamicsSeries(
         times=times,
@@ -551,7 +568,7 @@ def dynamics_sweep(rho0: DensityMatrix, delta_t: float, n_steps: int,
         mutual_info=iqc[:, 0],
         quantum=iqc[:, 1],
         classical=iqc[:, 2],
-        deviations=DeviationState.views(deltas, params.epsilon),
+        deviations=DeviationState.views(deltas, eps),
     )
 
 

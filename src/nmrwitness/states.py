@@ -299,23 +299,16 @@ def compose_deviation(dev: DeviationState) -> DensityMatrix:
 
 
 def extract_deviation(rho: DensityMatrix, epsilon: float = DEFAULT_EPSILON) -> DeviationState:
-    """delta = (rho - I/4) / epsilon, the exact inverse of compose_deviation."""
-    return DeviationState.views(extract_deviations(rho.matrix, epsilon), epsilon)[0]
-
-
-def extract_deviations(m: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """The deviation matrices of an (N, 4, 4) stack of validated density
-    matrices (or of one 4x4 matrix), as one (N, 4, 4) stack checked once by
-    ``validate_deviations``.
+    """delta = (rho - I/4) / epsilon, the exact inverse of compose_deviation.
 
     Dividing by epsilon amplifies float noise from rho (already validated to
     1e-12) beyond the deviation tolerances, so the rounding crumbs are
     projected out before the check.
     """
-    delta = (np.asarray(m).reshape(-1, 4, 4) - IDENTITY_4 / 4.0) / epsilon
-    delta = (delta + delta.conj().swapaxes(-1, -2)) / 2.0
-    delta -= np.trace(delta, axis1=-2, axis2=-1)[:, None, None] / 4.0 * IDENTITY_4
-    return validate_deviations(delta, epsilon)
+    delta = (rho.matrix - IDENTITY_4 / 4.0) / epsilon
+    delta = (delta + delta.conj().T) / 2.0
+    delta -= np.trace(delta) / 4.0 * IDENTITY_4
+    return DeviationState(delta=delta, epsilon=epsilon)
 
 
 def basis_kets(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -180,6 +180,42 @@ def relax_kraus(rho: np.ndarray, t: float, qubit_a: tuple, qubit_b: tuple) -> np
     return out
 
 
+def relax_kraus_mixed_term(t: float, qubit_a: tuple, qubit_b: tuple, epsilon: float,
+                           digits: int = 50) -> np.ndarray:
+    """(K(I/4) - I/4) / epsilon for the Kraus sum K of ``relax_kraus``: the
+    part of the relaxed deviation that the maximally mixed part of
+    I/4 + epsilon delta contributes.  The Kraus operators of
+    ``relax_kraus_set`` are built from the float parameters, taken as exact,
+    and everything is evaluated in ``digits``-digit arithmetic (mpmath) and
+    rounded to float64 once at the end; in float arithmetic the difference
+    cancels to about 1e-11 at epsilon = 1e-5.  On I/4 = I/2 x I/2 the sum
+    over all products K_a x K_b is the product of the one-qubit sums."""
+    import mpmath
+
+    def kraus_set(t, t1, t2s, z_eq):
+        t, t1, t2s, z_eq = (mpmath.mpf(v) for v in (t, t1, t2s, z_eq))
+        gamma = 1 - mpmath.exp(-t / t1)
+        p = (1 + z_eq) / 2
+        k, g = mpmath.sqrt(1 - gamma), mpmath.sqrt(gamma)
+        damping = [
+            mpmath.sqrt(p) * mpmath.matrix([[1, 0], [0, k]]),
+            mpmath.sqrt(p) * mpmath.matrix([[0, g], [0, 0]]),
+            mpmath.sqrt(1 - p) * mpmath.matrix([[k, 0], [0, 1]]),
+            mpmath.sqrt(1 - p) * mpmath.matrix([[0, 0], [g, 0]]),
+        ]
+        lam = mpmath.exp(-t * (1 / t2s - 1 / (2 * t1)))
+        dephasing = [mpmath.sqrt((1 + lam) / 2) * mpmath.eye(2),
+                     mpmath.sqrt((1 - lam) / 2) * mpmath.diag([1, -1])]
+        return [d * a for d in dephasing for a in damping]   # all real
+
+    with mpmath.workdps(digits):
+        a, b = (sum((k * k.T for k in kraus_set(t, *q)), mpmath.zeros(2, 2)) / 2
+                for q in (qubit_a, qubit_b))
+        eps = mpmath.mpf(epsilon)
+        return np.array([[float((a[i // 2, j // 2] * b[i % 2, j % 2] - (i == j) / mpmath.mpf(4)) / eps)
+                          for j in range(4)] for i in range(4)])
+
+
 # --- pulse programs ---------------------------------------------------------------
 
 

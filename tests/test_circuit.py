@@ -8,6 +8,7 @@ from nmrwitness import (
     BlochSpec,
     ClassicalSpec,
     DensityMatrix,
+    DeviationState,
     Gate,
     WitnessDirection,
     classical_state,
@@ -15,6 +16,7 @@ from nmrwitness import (
     from_bloch,
     local_magnetizations,
     pair_rotation,
+    partial_trace,
     protocol_state,
     readout_sigma_x_a,
     rotation,
@@ -25,14 +27,15 @@ from nmrwitness import (
 from nmrwitness.circuit import (
     PROTOCOL_ROTATIONS,
     STEP_UNITARIES,
+    ProtocolReadout,
     witness_from_expectations,
     witness_sum,
 )
 from nmrwitness.errors import BadIndex
-from nmrwitness.nmr import SpinSystemParams, thermal_equilibrium_state
+from nmrwitness.nmr import SpinSystemParams, pulse_step_unitaries, thermal_equilibrium_state
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair, su2
 
-from conftest import ket_projector, random_density_matrix, triplet
+from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
 
 
 class TestRotation:
@@ -137,6 +140,50 @@ class TestProtocol:
                 direct = rho.expectation(pauli_pair(i))
                 worst = max(worst, abs(via_circuit - direct))
         assert worst <= 1e-10
+
+
+def _step_stack(name: str) -> np.ndarray:
+    if name == "ideal":
+        return STEP_UNITARIES
+    return pulse_step_unitaries(SpinSystemParams(), name)
+
+
+class TestLinearReadout:
+    """run_protocol reads tr(m A_i) with A_i = U_i^dag (sigma_x x I) U_i; the
+    Schrodinger-picture protocol_state + readout_sigma_x_a is its check."""
+
+    @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
+    def test_matches_the_post_circuit_states(self, stack, rng):
+        u = _step_stack(stack)
+        for _ in range(50):
+            rho = random_density_matrix(rng)
+            got = run_protocol(rho, sample_direction(1), u).o[:3]
+            want = [readout_sigma_x_a(protocol_state(rho, i, u)) for i in (1, 2, 3)]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
+    @pytest.mark.parametrize("epsilon", [1e-5, 0.05])
+    def test_deviation_reads_epsilon_times_delta(self, stack, epsilon, rng):
+        u = _step_stack(stack)
+        direction = sample_direction(3)
+        for _ in range(20):
+            delta = random_traceless_hermitian(rng) / 16
+            a, b = partial_trace(delta, "a"), partial_trace(delta, "b")
+            o4 = sum(direction.z[k] * np.trace(a @ s).real + direction.w[k] * np.trace(b @ s).real
+                     for k, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)))
+            want = epsilon * np.array([np.trace(v @ delta @ v.conj().T @ np.kron(SIGMA_X, IDENTITY_2)).real
+                                       for v in u] + [o4])
+            got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, u).o
+            assert np.max(np.abs(got - want)) <= 1e-15 * epsilon
+
+    def test_readout_bounds_are_checked(self):
+        assert ProtocolReadout(o=[1.0, -1.0, 0.5, 2.0]).o.tolist() == [1.0, -1.0, 0.5, 2.0]
+        with pytest.raises(ValueError, match="exceeds its bound 1.0"):
+            ProtocolReadout(o=[0.0, 1.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="exceeds its bound 2.0"):
+            ProtocolReadout(o=[0.0, 0.0, 0.0, -2.5])
+        with pytest.raises(ValueError, match="exceeds its bound 1.0"):
+            ProtocolReadout(o=np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]))
 
 
 class TestReadout:
@@ -281,5 +328,4 @@ class TestWitness:
 
     def test_protocol_readout_bundle(self):
         out = run_protocol(triplet(), sample_direction(2))
-        assert len(out.states) == 3
         assert np.allclose(out.o[:3], [1, 1, -1], atol=1e-12)

@@ -59,6 +59,13 @@ class TestFig2:
         assert (corr["CC"]["I"], corr["CC"]["Q"], corr["CC"]["C"]) == (8.0, 0.0, 8.0)
         assert (corr["thermal"]["I"], corr["thermal"]["C"]) == (0.0, 0.0)
 
+    def test_deviation_level_witness_is_exact(self):
+        # The circuit reads the exact delta, not rho = I/4 + epsilon delta.
+        wit = {row["state"]: row["witness"] for row in run_fig2(ExperimentConfig()).rows}
+        assert np.max(np.abs(np.array(wit["QC"]["o"]) - [1, 1, -1, 0])) <= 1e-15
+        assert abs(wit["QC"]["W"] - 3) <= 1e-15
+        assert np.max(np.abs(wit["thermal"]["o"][:3])) <= 1e-15
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_fig2(ExperimentConfig(seed=7, out_dir=str(out1)))
@@ -135,6 +142,10 @@ class TestFig4:
         assert abs(first["W"] - 3.0) < 1e-9
         assert abs(first["Q"] - 4.0) < 1e-6
         assert abs(first["t_s"]) == 0
+
+    def test_initial_point_is_exact(self):
+        first = run_fig4(ExperimentConfig(n_steps=2)).rows[0]
+        assert np.max(np.abs(np.array([first[k] for k in "WIQC"]) - [3, 6, 4, 2])) <= 1e-15
 
     def test_flags(self):
         report = run_fig4(ExperimentConfig())

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from nmrwitness import (
     BlochSpec,
     DensityMatrix,
+    DeviationState,
     bloch_decompose,
     composite_cnot,
     composite_z_rotation,
@@ -28,7 +29,14 @@ from nmrwitness import (
     sample_direction,
     witness,
 )
-from nmrwitness.errors import BadConfig, BadIndex, NotAState, SequenceMismatch, UnknownKind
+from nmrwitness.errors import (
+    BadConfig,
+    BadIndex,
+    EpsilonMismatch,
+    NotAState,
+    SequenceMismatch,
+    UnknownKind,
+)
 from nmrwitness.nmr import (
     PP_CALIBRATION,
     PulseEvent,
@@ -57,7 +65,7 @@ from nmrwitness.circuit import cnot
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
 
 from conftest import ket_projector, random_density_matrix, triplet
-from oracles import relax_kraus, run_pulse_program_extended
+from oracles import relax_kraus, relax_kraus_mixed_term, run_pulse_program_extended
 
 PARAMS = SpinSystemParams()
 
@@ -460,6 +468,12 @@ class TestPrepareState:
         got = prepare_deviation(kind, PARAMS, level="pulse", model=model).delta
         assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["QC", "CC", "pseudo_pure_11"])
+    def test_ideal_deviations_are_read_only(self, kind):
+        with pytest.raises(ValueError):
+            ideal_deviation(kind, PARAMS)[0, 0] = 7.0
+        assert np.array_equal(prepare_deviation(kind, PARAMS).delta, ideal_deviation(kind, PARAMS))
+
     def test_pulse_level_deviation_is_a_cached_constant(self):
         dev = prepare_deviation("QC", PARAMS, level="pulse")
         assert prepare_deviation("QC", PARAMS, level="pulse") is dev
@@ -549,25 +563,24 @@ class TestDynamicsSweep:
     def test_matches_independent_oracle(self, epsilon, scale_h, scale_c):
         # Independent oracle: the Kraus sum of tests/oracles.py at each t,
         # then direct trace readouts and an SVD written here.  The Kraus map
-        # is linear, so the deviation is relaxed on its own and stays exact
-        # at small epsilon.  The sweep works through rho = I/4 + epsilon
-        # delta, whose entries near 1/4 carry about 3e-17 of rounding that
-        # the deviation divides by epsilon: 1e-12 relative to each series'
-        # largest value holds down to epsilon of about 1e-3, and the bound
-        # grows as 1e-15 / epsilon below.
+        # is affine in the deviation: its linear part relaxes delta itself,
+        # and the mixed-state term (K(I/4) - I/4) / epsilon, which cancels
+        # in float arithmetic, is evaluated in 50 digits.  The sweep runs on
+        # delta too, so 1e-12 relative to each series' largest value holds
+        # at every epsilon.
+        pytest.importorskip("mpmath")
         params = dataclasses.replace(PARAMS, t2s_h=PARAMS.t2s_h * scale_h,
                                      t2s_c=PARAMS.t2s_c * scale_c, epsilon=epsilon)
         paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
         delta0 = (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
                   - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4
-        series = dynamics_sweep(DensityMatrix(np.eye(4) / 4 + epsilon * delta0), 0.0557, 16, params)
+        series = dynamics_sweep(DeviationState(delta=delta0, epsilon=epsilon), 0.0557, 16, params)
         qubit_h = (params.t1_h, params.t2s_h, 2 * epsilon)
         qubit_c = (params.t1_c, params.t2s_c, 2 * epsilon / params.gamma_ratio)
         want = []
         for t in [n * 0.0557 for n in range(16)]:
-            mixed = np.eye(4) / 4
-            delta = (relax_kraus(mixed, t, qubit_h, qubit_c) - mixed) / epsilon
-            delta += relax_kraus(delta0, t, qubit_h, qubit_c)
+            delta = relax_kraus_mixed_term(t, qubit_h, qubit_c, epsilon)
+            delta = delta + relax_kraus(delta0, t, qubit_h, qubit_c)
             corr = np.array([[np.trace(delta @ np.kron(p, q)).real for q in paulis] for p in paulis])
             o = np.diag(corr) / 2  # <s_i s_i> / (2 epsilon)
             s = np.linalg.svd(corr, compute_uv=False)
@@ -576,8 +589,27 @@ class TestDynamicsSweep:
         want = np.array(want)
         got = np.stack([series.witness_values, series.mutual_info, series.quantum,
                         series.classical], axis=1)
-        tol = max(1e-12, 1e-15 / epsilon)
-        assert np.all(np.abs(got - want) <= tol * np.max(np.abs(want), axis=0))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    def test_rejects_a_deviation_at_another_epsilon(self):
+        dev = DeviationState(delta=ideal_deviation("QC", PARAMS), epsilon=2 * PARAMS.epsilon)
+        with pytest.raises(EpsilonMismatch):
+            dynamics_sweep(dev, 0.0557, 4, PARAMS)
+
+    def test_density_matrix_and_deviation_inputs_agree(self):
+        a = dynamics_sweep(prepare_state("QC", PARAMS), 0.0557, 12, PARAMS)
+        b = dynamics_sweep(prepare_deviation("QC", PARAMS), 0.0557, 12, PARAMS)
+        for name in ("witness_values", "mutual_info", "quantum", "classical"):
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) <= 1e-10
+        assert np.max(np.abs(np.array([d.delta for d in a.deviations])
+                             - np.array([d.delta for d in b.deviations]))) <= 1e-10
+
+    def test_checks_positivity_of_every_relaxed_state(self):
+        # At epsilon = 0.6 the thermal polarization 2 epsilon exceeds 1, so
+        # relaxing even I/4 toward it leaves the state space after t = 0.
+        params = dataclasses.replace(PARAMS, epsilon=0.6)
+        with pytest.raises(NotAState, match=r"negative eigenvalue .* \(matrix 1 of the stack\)"):
+            dynamics_sweep(DensityMatrix(IDENTITY_4 / 4), 10.0, 4, params)
 
     def test_csv_export(self):
         qc = prepare_state("QC", PARAMS)
