@@ -4,13 +4,9 @@ correlations in two-qubit room-temperature NMR states."""
 __version__ = "0.1.0"
 
 from .circuit import (
-    Gate,
     ProtocolReadout,
     WitnessDirection,
     WitnessReport,
-    cnot,
-    local_magnetizations,
-    pair_rotation,
     protocol_state,
     readout_sigma_x_a,
     rotation,
@@ -57,18 +53,13 @@ from .nmr import (
     DynamicsSeries,
     PulseEvent,
     SpinSystemParams,
-    composite_cnot,
-    composite_z_rotation,
     dynamics_sweep,
-    free_evolution,
-    gradient_dephase,
     ideal_deviation,
     load_pulse_sequence,
     prepare_deviation,
     prepare_state,
     pulse_sequence_to_json,
     relax,
-    rf_pulse,
     thermal_equilibrium_state,
 )
 from .states import (

@@ -7,9 +7,12 @@ x-magnetization after a global rotation and a CNOT: step 1 uses no rotation
 (reads sigma_x sigma_x), step 2 rotates both qubits by pi/2 about z (reads
 sigma_y sigma_y), step 3 rotates about y (reads sigma_z sigma_z).
 
-The circuit is read in the Heisenberg picture, tr(m A_i) with
-A_i = U_i^dag (sigma_x x I) U_i; every A_i is traceless, so one read serves
-rho and the deviation delta of rho = I/4 + epsilon delta.
+The circuit is a set of constants: the step unitaries U_i (STEP_UNITARIES)
+and the (16, 3) readout table of A_i = U_i^dag (sigma_x x I) U_i
+(STEP_OBSERVABLES), built once.  The readout is the Heisenberg-picture
+tr(m A_i); every A_i is traceless, so one read serves rho and the deviation
+delta of rho = I/4 + epsilon delta.  ``protocol_state`` keeps the
+Schrodinger picture on the unitaries, as an independent check.
 """
 
 from dataclasses import dataclass
@@ -34,22 +37,8 @@ _PAIRS = {True: np.triu_indices(4, 1), False: np.triu_indices(3, 1)}
 # sigma_x^a readout; note steps 2 and 3 use z and y respectively.
 PROTOCOL_ROTATIONS = {1: (None, 0.0), 2: ("z", np.pi / 2), 3: ("y", np.pi / 2)}
 
-
-@dataclass(frozen=True)
-class Gate:
-    """A unitary with a human-readable label."""
-
-    unitary: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError("gate must be a square matrix")
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > UNITARITY_TOL:
-            raise ValueError(f"gate {self.label!r} is not unitary")
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+# The readout observable sigma_x x I.
+_SIGMA_X_A = on_a(SIGMA_X)
 
 
 @dataclass(frozen=True)
@@ -100,32 +89,38 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     return su2(angle, AXES[axis])
 
 
-def pair_rotation(axis: str, angle: float) -> Gate:
-    """The same rotation applied to both qubits, R (x) R."""
-    r = rotation(axis, angle)
-    return Gate(np.kron(r, r), label=f"R_{axis}({angle:.4f}) x R_{axis}({angle:.4f})")
+def _checked_unitary(u, label: str) -> np.ndarray:
+    """u as a read-only complex array once |u u^dag - I| <= UNITARITY_TOL
+    entrywise; ValueError naming ``label`` otherwise, also for a NaN or
+    infinite entry, whose gap compares False."""
+    u = np.array(u, dtype=complex)
+    gap = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    if not gap <= UNITARITY_TOL:
+        raise ValueError(f"{label} is not unitary, |u u^dag - I| = {gap}")
+    u.flags.writeable = False
+    return u
 
 
-def cnot() -> Gate:
-    """Controlled-NOT with qubit a as control."""
-    u = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    return Gate(u, label="CNOT(a->b)")
+def _readout_table(unitaries: np.ndarray) -> np.ndarray:
+    """The read-only (16, 3) table of A_i = U_i^dag (sigma_x x I) U_i for a
+    (3, 4, 4) step stack: tr(m A_i) is the flattened m times column i."""
+    u = np.asarray(unitaries)
+    table = (u.conj().swapaxes(-1, -2) @ _SIGMA_X_A @ u).swapaxes(-1, -2).reshape(3, 16).T
+    table.flags.writeable = False
+    return table
 
 
-def _step_unitary(i: int) -> np.ndarray:
-    axis, angle = PROTOCOL_ROTATIONS[i]
-    u = cnot().unitary
-    return u if axis is None else u @ pair_rotation(axis, angle).unitary
+# Controlled-NOT with qubit a as control.
+CNOT = _checked_unitary([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], "CNOT(a->b)")
 
-
-# U_i = CNOT . (R_i x R_i) for steps i = 1, 2, 3, stacked (3, 4, 4), and the
-# sigma_x x I readout observable.  Constants: the tests check each U_i for
-# unitarity once instead of every call.
-STEP_UNITARIES = np.array([_step_unitary(i) for i in (1, 2, 3)])
+# U_i = CNOT (R_i x R_i) for steps i = 1, 2, 3, stacked (3, 4, 4), and the
+# readout table of their observables A_i.  Constants: the tests check each
+# U_i for unitarity once instead of every call.
+STEP_UNITARIES = np.array([
+    CNOT if axis is None else CNOT @ np.kron(rotation(axis, angle), rotation(axis, angle))
+    for axis, angle in PROTOCOL_ROTATIONS.values()])
 STEP_UNITARIES.flags.writeable = False
-_SIGMA_X_A = on_a(SIGMA_X)
+STEP_OBSERVABLES = _readout_table(STEP_UNITARIES)
 
 
 def protocol_state(rho: DensityMatrix, i: int,
@@ -141,12 +136,6 @@ def protocol_state(rho: DensityMatrix, i: int,
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
     """x-magnetization of qubit a, tr(xi . sigma_x x I)."""
     return xi.expectation(_SIGMA_X_A)
-
-
-def local_magnetizations(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors of the two qubits, (a, b)."""
-    r = pauli_table(rho.matrix)
-    return r[1:, 0], r[0, 1:]
 
 
 def _o4(r: np.ndarray, dir: WitnessDirection) -> np.ndarray:
@@ -168,21 +157,19 @@ def _linear_input(state: DensityMatrix | DeviationState) -> tuple[np.ndarray, fl
 
 
 def run_protocol(state: DensityMatrix | DeviationState, dir: WitnessDirection,
-                 unitaries: np.ndarray = STEP_UNITARIES) -> ProtocolReadout:
+                 table: np.ndarray = STEP_OBSERVABLES) -> ProtocolReadout:
     """Execute the three circuit runs plus the local O_4 read of rho or delta.
-    ``unitaries`` is the (3, 4, 4) stack of step unitaries: the ideal gates
-    by default, or a pulse-level realization (``nmr.pulse_step_unitaries``)."""
+    ``table`` is the (16, 3) readout table of a step stack: the ideal gates
+    by default, or a pulse-level realization (``nmr.pulse_step_observables``)."""
     m, scale = _linear_input(state)
-    return ProtocolReadout(o=scale * np.append(step_readout(m, unitaries), _o4(pauli_table(m), dir)))
+    return ProtocolReadout(o=scale * np.append(step_readout(m, table), _o4(pauli_table(m), dir)))
 
 
-def step_readout(m: np.ndarray, unitaries: np.ndarray = STEP_UNITARIES) -> np.ndarray:
-    """<O_1>..<O_3> = tr(m A_i), A_i = U_i^dag (sigma_x x I) U_i, of one 4x4
-    matrix or of a stack (..., 4, 4): one product of the flattened (..., 16)
-    matrices with a (16, 3) table.  Reads rho and delta alike; checks
-    nothing."""
-    u = np.asarray(unitaries)
-    table = (u.conj().swapaxes(-1, -2) @ _SIGMA_X_A @ u).swapaxes(-1, -2).reshape(3, 16).T
+def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndarray:
+    """<O_1>..<O_3> = tr(m A_i) of one 4x4 matrix or of a stack (..., 4, 4):
+    one product of the flattened (..., 16) matrices with the (16, 3)
+    readout ``table`` of A_i = U_i^dag (sigma_x x I) U_i.  Reads rho and
+    delta alike; checks nothing."""
     m = np.asarray(m)
     return (m.reshape(*m.shape[:-2], 16) @ table).real
 

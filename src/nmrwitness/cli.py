@@ -107,7 +107,7 @@ def _known_keys(overrides: dict, cls, where: str) -> dict:
                           f"got {type(overrides).__name__}")
     unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {where} keys in --config: {', '.join(unknown)}")
+        raise BadConfig(f"unknown {where} keys in --config: {', '.join(unknown)}")
     return overrides
 
 

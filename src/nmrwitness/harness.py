@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import (
-    STEP_UNITARIES,
+    STEP_OBSERVABLES,
     run_protocol,
     sample_direction,
     witness,
@@ -32,7 +32,7 @@ from .nmr import (
     SpinSystemParams,
     dynamics_sweep,
     prepare_deviation,
-    pulse_step_unitaries,
+    pulse_step_observables,
 )
 from .pauli import su2
 from .states import (
@@ -188,13 +188,13 @@ def _witness_with_cross_check(dev: DeviationState, config: ExperimentConfig,
     """Best witness over the configured direction seeds, cross-checking the
     circuit readouts against the direct expectations for every seed."""
     eps = config.params.epsilon
-    unitaries = pulse_step_unitaries(config.params) if config.pulse_level else STEP_UNITARIES
+    table = pulse_step_observables(config.params) if config.pulse_level else STEP_OBSERVABLES
     best = None
     worst_gap = 0.0
     for s in config.seeds():
         direction = sample_direction(s)
         rep = witness_from_expectations(
-            run_protocol(dev, direction, unitaries).o, mode="circuit",
+            run_protocol(dev, direction, table).o, mode="circuit",
             normalization=config.normalization, epsilon=eps, include_o4=include_o4, seed=s)
         direct = witness(dev, direction, mode="direct",
                          normalization=config.normalization, epsilon=eps,

@@ -13,11 +13,13 @@ the nine-pulse CNOT sequence reproduces the ideal gate exactly when read in
 time order, while the three-pulse z-rotation must be read as an operator
 product (reversed time order) to give R_z(+pi/2) rather than its inverse.
 
+Every pulse program, one event or many, runs through ``apply_sequence``.
 Pulse propagators are constants of (events, params, model): every
 gradient-free run of a pulse program is folded into one read-only unitary
-and cached, and so are the checked composite CNOT and the three pulse-level
-witness steps.  Instantaneous pulses are closed-form SU(2) rotations; only
-the finite pulse model calls ``expm``, when a cache entry is first built.
+and cached, and so are the checked composite CNOT, the three pulse-level
+witness steps and their readout table.  Instantaneous pulses are
+closed-form SU(2) rotations; only the finite pulse model calls ``expm``,
+when a cache entry is first built.
 """
 
 import dataclasses
@@ -28,9 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .circuit import Gate, ProtocolReadout, cnot, protocol_state, step_readout, witness_sum
+from .circuit import (
+    CNOT,
+    ProtocolReadout,
+    _checked_unitary,
+    _readout_table,
+    protocol_state,
+    step_readout,
+    witness_sum,
+)
 from .correlations import epsilon_correlations
-from .errors import EpsilonMismatch, SequenceMismatch, UnknownKind, check_config, is_finite
+from .errors import BadDocument, EpsilonMismatch, SequenceMismatch, UnknownKind, check_config, is_finite
 from .pauli import (
     IDENTITY_2,
     IDENTITY_4,
@@ -45,6 +55,7 @@ from .pauli import (
 from .states import (
     DensityMatrix,
     DeviationState,
+    _fields,
     compose_deviation,
     extract_deviation,
     from_pauli_table,
@@ -99,13 +110,15 @@ class PulseEvent:
     def __post_init__(self):
         if self.kind not in ("rf", "delay", "gradient"):
             raise ValueError(f"unknown event kind {self.kind!r}")
+        if not (math.isfinite(self.phase) and math.isfinite(self.j_units)):
+            raise ValueError(f"phase and j_units must be finite, got {self.phase}, {self.j_units}")
         if self.kind == "rf":
             if self.channel not in ("H", "C", "both"):
                 raise ValueError(f"unknown channel {self.channel!r}")
             if not 0.0 < self.angle <= 2 * np.pi:
                 raise ValueError(f"rf angle must be in (0, 2pi], got {self.angle}")
-            if self.duration is not None and not self.duration > 0:
-                raise ValueError(f"rf duration must be positive, got {self.duration}")
+            if self.duration is not None and not 0 < self.duration < math.inf:
+                raise ValueError(f"rf duration must be positive and finite, got {self.duration}")
         if self.kind == "delay" and self.j_units < 0:
             raise ValueError("delay must be nonnegative")
 
@@ -173,12 +186,6 @@ def free_evolution_propagator(tau: float, params: SpinSystemParams) -> np.ndarra
     return np.diag(np.exp(-1j * _drift_diagonal(params) * tau))
 
 
-def free_evolution(rho: DensityMatrix, tau: float, params: SpinSystemParams) -> DensityMatrix:
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return DensityMatrix(_run(rho.matrix, (free_evolution_propagator(tau, params),)))
-
-
 def _rf_axis(phase: float) -> tuple:
     """Unit Bloch vector of the rf field at azimuth ``phase``."""
     return (np.cos(phase), np.sin(phase), 0.0)
@@ -216,16 +223,6 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
     return one_channel(event.channel)
 
 
-def rf_pulse(rho: DensityMatrix, event: PulseEvent, params: SpinSystemParams,
-             model: str = "instantaneous") -> DensityMatrix:
-    return DensityMatrix(_run(rho.matrix, (rf_propagator(event, params, model),)))
-
-
-def gradient_dephase(rho: DensityMatrix) -> DensityMatrix:
-    """z-gradient crusher: full dephasing in the computational product basis."""
-    return DensityMatrix(_run(rho.matrix, (None,)))
-
-
 def _frozen(u: np.ndarray) -> np.ndarray:
     u.flags.writeable = False
     return u
@@ -235,8 +232,8 @@ def _frozen(u: np.ndarray) -> np.ndarray:
 def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
     """A pulse program as its folded segments, in time order: one read-only
     4x4 unitary per gradient-free run of events and None per gradient.
-    Each folded unitary passes ``circuit.Gate``'s unitarity check once, when
-    the cache entry is built (ValueError otherwise)."""
+    Each folded unitary passes ``circuit._checked_unitary`` once, when the
+    cache entry is built (ValueError otherwise, also for a NaN entry)."""
     out = []
     for ev in events:
         if ev.kind == "gradient":
@@ -250,7 +247,7 @@ def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
             out[-1] = step @ out[-1]
         else:
             out.append(step)
-    return tuple(u if u is None else Gate(u, label="pulse program segment").unitary for u in out)
+    return tuple(u if u is None else _checked_unitary(u, "pulse program segment") for u in out)
 
 
 def _run(m: np.ndarray, segments: tuple) -> np.ndarray:
@@ -314,13 +311,6 @@ def cnot_events() -> list:
     ]
 
 
-def composite_z_rotation(rho: DensityMatrix, channel: str,
-                         params: SpinSystemParams | None = None,
-                         model: str = "instantaneous") -> DensityMatrix:
-    params = params or SpinSystemParams()
-    return apply_sequence(rho, z_rotation_events(channel), params, model)
-
-
 @functools.lru_cache(maxsize=64)
 def _checked_cnot(params: SpinSystemParams, model: str) -> np.ndarray:
     """The composite CNOT propagator once it has passed its fidelity check.
@@ -328,15 +318,10 @@ def _checked_cnot(params: SpinSystemParams, model: str) -> np.ndarray:
     calibration fails on every call."""
     u = sequence_propagator(cnot_events(), params, model)
     threshold = 1 - 1e-6 if model == "instantaneous" else 0.999
-    fid = propagator_fidelity(u, cnot().unitary)
+    fid = propagator_fidelity(u, CNOT)
     if fid < threshold:
         raise SequenceMismatch(f"composite CNOT fidelity {fid} below {threshold}")
     return u
-
-
-def composite_cnot(rho: DensityMatrix, params: SpinSystemParams | None = None,
-                   model: str = "instantaneous") -> DensityMatrix:
-    return DensityMatrix(_run(rho.matrix, (_checked_cnot(params or SpinSystemParams(), model),)))
 
 
 # --- relaxation ---------------------------------------------------------------
@@ -516,13 +501,22 @@ def pulse_step_unitaries(params: SpinSystemParams, model: str = "instantaneous")
     """The witness circuit steps realized with the experimental pulse
     sequences, as a cached read-only (3, 4, 4) stack U_i = CNOT_composite .
     step_i: step 1 is the CNOT alone, step 2 the composite z rotations on H
-    then C, step 3 a direct y rf pulse on both spins.  ``circuit.run_protocol``
-    reads it like the ideal ``STEP_UNITARIES``."""
+    then C, step 3 a direct y rf pulse on both spins.  It raises
+    SequenceMismatch, on every call, when the composite CNOT fails its
+    fidelity check.  ``pulse_protocol_state`` applies one step;
+    ``pulse_step_observables`` is its readout table."""
     u_cnot = _checked_cnot(params, model)
     z_h = sequence_propagator(z_rotation_events("H"), params, model)
     z_c = sequence_propagator(z_rotation_events("C"), params, model)
     y = sequence_propagator([rf("both", np.pi / 2, _PY)], params, model)
     return _frozen(np.array([u_cnot, u_cnot @ (z_c @ z_h), u_cnot @ y]))
+
+
+@functools.lru_cache(maxsize=64)
+def pulse_step_observables(params: SpinSystemParams, model: str = "instantaneous") -> np.ndarray:
+    """The cached read-only (16, 3) readout table of ``pulse_step_unitaries``,
+    which ``circuit.run_protocol`` reads like the ideal ``STEP_OBSERVABLES``."""
+    return _readout_table(pulse_step_unitaries(params, model))
 
 
 def pulse_protocol_state(rho: DensityMatrix, i: int, params: SpinSystemParams,
@@ -575,25 +569,40 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
 # --- pulse sequence wire format -------------------------------------------------
 
 
+def _number(value, key: str, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadDocument(f"{where} key {key!r} must be a number, got {value!r}") from None
+
+
 def load_pulse_sequence(doc: list) -> list:
-    """Parse the JSON list form of a pulse program."""
+    """Parse the JSON list form of a pulse program.  A malformed document
+    (not a list, an item not an object, a missing key, an unknown kind or a
+    non-number) raises BadDocument naming the item and the key; a value out
+    of range raises PulseEvent's ValueError."""
+    if not isinstance(doc, list):
+        raise BadDocument(f"pulse sequence must be a JSON list, got {type(doc).__name__}")
     events = []
-    for item in doc:
-        kind = item["kind"]
+    for k, item in enumerate(doc):
+        where = f"pulse sequence item {k}"
+        (kind,) = _fields(item, ("kind",), where)
         if kind == "rf":
+            channel, angle = _fields(item, ("channel", "angle"), where)
             events.append(PulseEvent(
                 kind="rf",
-                channel=item["channel"],
-                angle=float(item["angle"]),
-                phase=float(item.get("phase", 0.0)),
-                duration=float(item["duration"]) if "duration" in item else None,
+                channel=channel,
+                angle=_number(angle, "angle", where),
+                phase=_number(item.get("phase", 0.0), "phase", where),
+                duration=_number(item["duration"], "duration", where) if "duration" in item else None,
             ))
         elif kind == "delay":
-            events.append(delay(float(item["j_units"])))
+            (j_units,) = _fields(item, ("j_units",), where)
+            events.append(delay(_number(j_units, "j_units", where)))
         elif kind == "gradient":
             events.append(gradient())
         else:
-            raise ValueError(f"unknown event kind {kind!r}")
+            raise BadDocument(f"{where} key 'kind' must be rf, delay or gradient, got {kind!r}")
     return events
 
 

@@ -3,7 +3,8 @@
 Everything here evaluates the projective-measurement map from first
 principles: explicit spinors for each grid direction, explicit projector
 sandwiches, explicit partial traces.  No code is shared with the production
-optimizer, which works from Pauli coefficients.  Likewise the relaxation
+optimizer, which works from Pauli coefficients; the Bell-diagonal
+correlations are the closed form of the literature.  Likewise the relaxation
 oracle is the explicit Kraus sum of the channel, while the production
 ``relax`` is an affine map on the Pauli table, and the pulse-program oracle
 runs the per-event propagators one at a time in extended precision, while
@@ -145,6 +146,31 @@ def grid_search(mat: np.ndarray, kind: str, n: int = 64, block: int = 256):
             best_pq = (s0 + p_loc, q)
     p, q = best_pq
     return best_val, (angles[p, 0], angles[p, 1], angles[q, 0], angles[q, 1])
+
+
+# --- Bell-diagonal closed form ------------------------------------------------
+
+# Correlation signs (<xx>, <yy>, <zz>) of the Bell states Phi+, Phi-, Psi+, Psi-.
+_BELL_SIGNS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+
+
+def _h2(p: float) -> float:
+    """Binary entropy in bits."""
+    return float(-sum(x * np.log2(x) for x in (p, 1.0 - p) if x > 0))
+
+
+def bell_diagonal_correlations(c) -> tuple[float, float, float]:
+    """(I, C, Q) in bits of the Bell-diagonal state (I + sum_i c_i s_i x s_i)/4,
+    in closed form (Luo, PRA 77, 042303 (2008)).  Its eigenvalues are the
+    Bell-state weights (1 + s.c)/4 and both marginals are I/2, so
+    I = 2 - S(rho).  Measuring qubit a along na and b along nb gives two
+    uniform bits with correlation na.diag(c).nb, at most c = max|c_i| in
+    magnitude, so C = 1 - H2((1 + c)/2), and Q = I - C."""
+    c = np.asarray(c, dtype=float)
+    weights = (1.0 + _BELL_SIGNS @ c) / 4.0
+    mutual = 2.0 + float(sum(w * np.log2(w) for w in weights if w > 0))
+    classical = 1.0 - _h2((1.0 + np.max(np.abs(c))) / 2.0)
+    return mutual, classical, mutual - classical
 
 
 # --- relaxation channel -------------------------------------------------------

@@ -12,7 +12,6 @@ from nmrwitness import (
     classical_state,
     compose_deviation,
     discord_epsilon,
-    gradient_dephase,
     mutual_information,
     mutual_information_epsilon,
     prepare_state,
@@ -23,12 +22,14 @@ from nmrwitness import (
     run_fig4,
     symmetric_discord,
 )
-from nmrwitness.circuit import cnot, rotation
+from nmrwitness.circuit import CNOT, rotation
 from nmrwitness.cli import main
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import (
     SpinSystemParams,
+    apply_sequence,
     cnot_events,
+    gradient,
     propagator_fidelity,
     sequence_propagator,
     thermal_equilibrium_state,
@@ -145,14 +146,13 @@ def test_criterion_5_expansion_convergence():
 
 
 def test_criterion_6_pulse_fidelity():
-    ideal_cnot = cnot().unitary
     ideal_z = on_a(rotation("z", np.pi / 2))
-    fid_cnot = propagator_fidelity(sequence_propagator(cnot_events(), PARAMS), ideal_cnot)
+    fid_cnot = propagator_fidelity(sequence_propagator(cnot_events(), PARAMS), CNOT)
     fid_z = propagator_fidelity(sequence_propagator(z_rotation_events("H"), PARAMS), ideal_z)
     assert fid_cnot >= 1 - 1e-6
     assert fid_z >= 1 - 1e-6
     fid_cnot_fin = propagator_fidelity(
-        sequence_propagator(cnot_events(), PARAMS, "finite"), ideal_cnot)
+        sequence_propagator(cnot_events(), PARAMS, "finite"), CNOT)
     fid_z_fin = propagator_fidelity(
         sequence_propagator(z_rotation_events("H"), PARAMS, "finite"), ideal_z)
     assert fid_cnot_fin >= 0.999
@@ -187,7 +187,7 @@ def test_criterion_8_channel_validity():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         rho = random_density_matrix(rng)
-        for out in (gradient_dephase(rho), relax(rho, rng.uniform(0.0, 1.0), PARAMS)):
+        for out in (apply_sequence(rho, [gradient()], PARAMS), relax(rho, rng.uniform(0.0, 1.0), PARAMS)):
             assert abs(np.trace(out.matrix).real - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(out.matrix).min() >= -1e-10
     print("\nACCEPTANCE 8 PASS: 1000 random states stay trace-1 PSD through "

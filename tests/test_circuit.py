@@ -9,13 +9,10 @@ from nmrwitness import (
     ClassicalSpec,
     DensityMatrix,
     DeviationState,
-    Gate,
     WitnessDirection,
+    bloch_decompose,
     classical_state,
-    cnot,
     from_bloch,
-    local_magnetizations,
-    pair_rotation,
     partial_trace,
     protocol_state,
     readout_sigma_x_a,
@@ -25,14 +22,22 @@ from nmrwitness import (
     witness,
 )
 from nmrwitness.circuit import (
+    CNOT,
     PROTOCOL_ROTATIONS,
+    STEP_OBSERVABLES,
     STEP_UNITARIES,
     ProtocolReadout,
+    _checked_unitary,
     witness_from_expectations,
     witness_sum,
 )
 from nmrwitness.errors import BadIndex
-from nmrwitness.nmr import SpinSystemParams, pulse_step_unitaries, thermal_equilibrium_state
+from nmrwitness.nmr import (
+    SpinSystemParams,
+    pulse_step_observables,
+    pulse_step_unitaries,
+    thermal_equilibrium_state,
+)
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair, su2
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
@@ -73,35 +78,47 @@ class TestRotation:
 
 
 class TestGates:
-    def test_gate_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            Gate(np.diag([1.0, 0.5, 1.0, 1.0]))
+    def test_checked_unitary_rejects_non_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            _checked_unitary(np.diag([1.0, 0.5, 1.0, 1.0]), "scaled")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_checked_unitary_rejects_non_finite(self, bad):
+        # max|u u^dag - I| is NaN here, and NaN > tol is False
+        u = IDENTITY_4.copy()
+        u[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="nonfinite is not unitary"):
+            _checked_unitary(u, "nonfinite")
 
     @given(st.sampled_from(["x", "y", "z"]), st.floats(-10, 10))
-    def test_pair_rotation_unitary(self, axis, angle):
-        g = pair_rotation(axis, angle)
-        assert np.max(np.abs(g.unitary @ g.unitary.conj().T - IDENTITY_4)) <= 1e-12
+    def test_checked_unitary_accepts_pair_rotations(self, axis, angle):
+        r = rotation(axis, angle)
+        u = _checked_unitary(np.kron(r, r), "pair rotation")
+        assert np.array_equal(u, np.kron(r, r)) and not u.flags.writeable
 
     def test_cnot_flips_target_on_excited_control(self):
         ket10 = np.array([0, 0, 1, 0], dtype=complex)
-        assert np.allclose(cnot().unitary @ ket10, [0, 0, 0, 1])
+        assert np.allclose(CNOT @ ket10, [0, 0, 0, 1])
 
     def test_cnot_conjugation_identity(self):
         # matrix product oracle for the readout identity
-        u = cnot().unitary
-        lhs = u @ np.kron(SIGMA_X, IDENTITY_2) @ u
+        lhs = CNOT @ np.kron(SIGMA_X, IDENTITY_2) @ CNOT
         assert np.allclose(lhs, np.kron(SIGMA_X, SIGMA_X), atol=1e-12)
 
     def test_cnot_involution(self):
-        assert np.allclose(cnot().unitary @ cnot().unitary, IDENTITY_4)
+        assert np.array_equal(CNOT @ CNOT, IDENTITY_4)
+        with pytest.raises(ValueError):
+            CNOT[0, 0] = 0.0
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_step_unitaries_are_the_protocol_gates(self, i):
         u = STEP_UNITARIES[i - 1]
         assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= 1e-15
         axis, angle = PROTOCOL_ROTATIONS[i]
-        want = cnot().unitary if axis is None else cnot().unitary @ pair_rotation(axis, angle).unitary
-        assert np.array_equal(u, want)
+        # the gates written out: CNOT as a permutation, R x R from expm
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        r = IDENTITY_2 if axis is None else expm(-1j * angle * {"y": SIGMA_Y, "z": SIGMA_Z}[axis] / 2)
+        assert np.max(np.abs(u - cnot @ np.kron(r, r))) <= 1e-15
         with pytest.raises(ValueError):
             STEP_UNITARIES[i - 1, 0, 0] = 0.0
 
@@ -142,29 +159,39 @@ class TestProtocol:
         assert worst <= 1e-10
 
 
-def _step_stack(name: str) -> np.ndarray:
+def _step_stack(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(step unitaries, readout table) of the ideal gates or a pulse model."""
     if name == "ideal":
-        return STEP_UNITARIES
-    return pulse_step_unitaries(SpinSystemParams(), name)
+        return STEP_UNITARIES, STEP_OBSERVABLES
+    return pulse_step_unitaries(SpinSystemParams(), name), pulse_step_observables(SpinSystemParams(), name)
 
 
 class TestLinearReadout:
-    """run_protocol reads tr(m A_i) with A_i = U_i^dag (sigma_x x I) U_i; the
-    Schrodinger-picture protocol_state + readout_sigma_x_a is its check."""
+    """run_protocol reads tr(m A_i) from the constant readout table of
+    A_i = U_i^dag (sigma_x x I) U_i; the Schrodinger-picture protocol_state
+    + readout_sigma_x_a on the step unitaries is its check."""
 
     @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
     def test_matches_the_post_circuit_states(self, stack, rng):
-        u = _step_stack(stack)
+        u, table = _step_stack(stack)
         for _ in range(50):
             rho = random_density_matrix(rng)
-            got = run_protocol(rho, sample_direction(1), u).o[:3]
+            got = run_protocol(rho, sample_direction(1), table).o[:3]
             want = [readout_sigma_x_a(protocol_state(rho, i, u)) for i in (1, 2, 3)]
             assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
+    def test_readout_tables_are_read_only_constants(self, stack):
+        _, table = _step_stack(stack)
+        assert table.shape == (16, 3)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert _step_stack(stack)[1] is table
+
+    @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
     @pytest.mark.parametrize("epsilon", [1e-5, 0.05])
     def test_deviation_reads_epsilon_times_delta(self, stack, epsilon, rng):
-        u = _step_stack(stack)
+        u, table = _step_stack(stack)
         direction = sample_direction(3)
         for _ in range(20):
             delta = random_traceless_hermitian(rng) / 16
@@ -173,7 +200,7 @@ class TestLinearReadout:
                      for k, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)))
             want = epsilon * np.array([np.trace(v @ delta @ v.conj().T @ np.kron(SIGMA_X, IDENTITY_2)).real
                                        for v in u] + [o4])
-            got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, u).o
+            got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, table).o
             assert np.max(np.abs(got - want)) <= 1e-15 * epsilon
 
     def test_readout_bounds_are_checked(self):
@@ -197,20 +224,22 @@ class TestReadout:
 
 
 class TestLocalMagnetizations:
+    """The local Bloch vectors that O_4 reads, from bloch_decompose."""
+
     def test_bell_diagonal_zero(self):
-        a, b = local_magnetizations(triplet())
-        assert np.allclose(a, 0, atol=1e-12) and np.allclose(b, 0, atol=1e-12)
+        spec, _ = bloch_decompose(triplet())
+        assert np.allclose(spec.a, 0, atol=1e-12) and np.allclose(spec.b, 0, atol=1e-12)
 
     def test_ket_00(self):
-        a, b = local_magnetizations(DensityMatrix(ket_projector(1, 0, 0, 0)))
-        assert np.allclose(a, [0, 0, 1], atol=1e-12)
-        assert np.allclose(b, [0, 0, 1], atol=1e-12)
+        spec, _ = bloch_decompose(DensityMatrix(ket_projector(1, 0, 0, 0)))
+        assert np.allclose(spec.a, [0, 0, 1], atol=1e-12)
+        assert np.allclose(spec.b, [0, 0, 1], atol=1e-12)
 
     def test_thermal_ratio(self):
         params = SpinSystemParams()
-        a, b = local_magnetizations(thermal_equilibrium_state(params))
-        assert abs(a[2] / b[2] - params.gamma_ratio) < 1e-9
-        assert np.allclose(a[:2], 0, atol=1e-15) and np.allclose(b[:2], 0, atol=1e-15)
+        spec, _ = bloch_decompose(thermal_equilibrium_state(params))
+        assert abs(spec.a[2] / spec.b[2] - params.gamma_ratio) < 1e-9
+        assert np.allclose(spec.a[:2], 0, atol=1e-15) and np.allclose(spec.b[:2], 0, atol=1e-15)
 
 
 class TestSampleDirection:

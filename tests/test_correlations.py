@@ -29,7 +29,7 @@ from conftest import (
     random_traceless_hermitian,
     triplet,
 )
-from oracles import grid_search, measured_info_exact, measured_info_expansion
+from oracles import bell_diagonal_correlations, grid_search, measured_info_exact, measured_info_expansion
 
 QC_DELTA = (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
             - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4
@@ -236,6 +236,21 @@ class TestSymmetricDiscord:
     def test_maximally_mixed(self):
         rep = symmetric_discord(DensityMatrix(IDENTITY_4 / 4))
         assert abs(rep.quantum) < 1e-9 and abs(rep.classical) < 1e-9
+
+    def test_bell_diagonal_closed_form(self, rng):
+        # six Bell-diagonal states, each Bell-state weight at least 0.02
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        for _ in range(6):
+            weights = rng.dirichlet(np.ones(4))
+            while weights.min() < 0.02:
+                weights = rng.dirichlet(np.ones(4))
+            c = weights @ np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+            rho = DensityMatrix((IDENTITY_4 + sum(ci * np.kron(s, s) for ci, s in zip(c, paulis))) / 4)
+            mutual, classical, quantum = bell_diagonal_correlations(c)
+            rep = symmetric_discord(rho)
+            assert abs(rep.mutual_info - mutual) <= 1e-12
+            assert abs(rep.classical - classical) <= 1e-12
+            assert abs(rep.quantum - quantum) <= 1e-12
 
     def test_optimizer_failure_on_tiny_budget(self):
         opt = OptimizerConfig(maxiter=1)

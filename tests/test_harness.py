@@ -22,7 +22,7 @@ from nmrwitness import (
     state_to_json,
     validate_state_doc,
 )
-from nmrwitness.cli import main
+from nmrwitness.cli import _config_from_args, build_parser, main
 from nmrwitness.errors import BadConfig, BadDocument, NotAState
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import SpinSystemParams
@@ -293,6 +293,9 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["fig4", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        args = build_parser().parse_args(["fig4", "--config", str(cfg)])
+        with pytest.raises(BadConfig, match=f"unknown .* keys in --config: {key}$"):
+            _config_from_args(args)
 
     @staticmethod
     def _one_line_exit_2(capsys, argv, *needles):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,8 @@ from nmrwitness import (
     DensityMatrix,
     DeviationState,
     bloch_decompose,
-    composite_cnot,
-    composite_z_rotation,
     extract_deviation,
-    free_evolution,
     from_bloch,
-    gradient_dephase,
     load_pulse_sequence,
     normalized_trace_distance,
     prepare_state,
@@ -24,13 +21,13 @@ from nmrwitness import (
     pulse_sequence_to_json,
     readout_sigma_x_a,
     relax,
-    rf_pulse,
     rotation,
     sample_direction,
     witness,
 )
 from nmrwitness.errors import (
     BadConfig,
+    BadDocument,
     BadIndex,
     EpsilonMismatch,
     NotAState,
@@ -46,12 +43,14 @@ from nmrwitness.nmr import (
     delay,
     dynamics_sweep,
     free_evolution_propagator,
+    gradient,
     ideal_deviation,
     prepare_deviation,
     propagator_fidelity,
     pseudo_epr_events,
     pseudo_pure_11_events,
     pulse_protocol_state,
+    pulse_step_observables,
     pulse_step_unitaries,
     relaxation_fixed_point,
     rf,
@@ -61,7 +60,7 @@ from nmrwitness.nmr import (
     thermal_equilibrium_state,
     z_rotation_events,
 )
-from nmrwitness.circuit import cnot
+from nmrwitness.circuit import CNOT
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
 
 from conftest import ket_projector, random_density_matrix, triplet
@@ -114,10 +113,35 @@ class TestPulseEvent:
         with pytest.raises(ValueError):
             PulseEvent(kind="loop")
 
-    @pytest.mark.parametrize("duration", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("duration", [0.0, -1e-6, float("nan"), float("inf")])
     def test_rejects_nonpositive_duration(self, duration):
         doc = [{"kind": "rf", "channel": "H", "angle": np.pi / 2, "duration": duration}]
         with pytest.raises(ValueError, match="duration"):
+            load_pulse_sequence(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_phase(self, value):
+        with pytest.raises(ValueError, match="phase and j_units must be finite"):
+            rf("H", np.pi / 2, value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_delay(self, value):
+        with pytest.raises(ValueError, match="phase and j_units must be finite"):
+            delay(value)
+
+    @pytest.mark.parametrize("doc, needle", [
+        ([{"kind": "rf", "angle": 1.0}], "item 0 lacks the key 'channel'"),
+        ([{"angle": 1.0}], "item 0 lacks the key 'kind'"),
+        ([{"kind": "loop"}], "item 0 key 'kind' must be rf, delay or gradient, got 'loop'"),
+        ([{"kind": "gradient"}, {"kind": "delay"}], "item 1 lacks the key 'j_units'"),
+        (["x"], "item 0 must be a JSON object, got str"),
+        ({"kind": "gradient"}, "must be a JSON list, got dict"),
+        ([{"kind": "rf", "channel": "H", "angle": "a"}], "item 0 key 'angle' must be a number, got 'a'"),
+        ([{"kind": "rf", "channel": "H", "angle": 1.0, "phase": None}], "item 0 key 'phase' must be a number"),
+        ([{"kind": "delay", "j_units": [1]}], "item 0 key 'j_units' must be a number"),
+    ])
+    def test_malformed_document_is_a_bad_document(self, doc, needle):
+        with pytest.raises(BadDocument, match=re.escape(needle)):
             load_pulse_sequence(doc)
 
     def test_json_round_trip(self):
@@ -130,9 +154,11 @@ class TestPulseEvent:
 
 
 class TestFreeEvolution:
+    """J-coupling delays, run as one-event programs through apply_sequence."""
+
     def test_zero_time_identity(self):
         rho = triplet()
-        assert np.allclose(free_evolution(rho, 0.0, PARAMS).matrix, rho.matrix)
+        assert np.allclose(apply_sequence(rho, [delay(0.0)], PARAMS).matrix, rho.matrix)
 
     def test_propagator_matches_matrix_exponential(self):
         # direct matrix exponential oracle for U = exp(-i 2 pi J tau IzIz)
@@ -143,18 +169,19 @@ class TestFreeEvolution:
 
     def test_half_j_conditional_phase(self):
         plus0 = DensityMatrix(np.kron(ket_projector(1, 1) / 2, ket_projector(1, 0)))
-        out = free_evolution(plus0, 1 / (2 * PARAMS.j_coupling), PARAMS)
+        out = apply_sequence(plus0, [delay(0.5)], PARAMS)
         u = expm(-1j * (np.pi / 2) * np.kron(SIGMA_Z, SIGMA_Z) / 2)
         expected = u @ plus0.matrix @ u.conj().T
         assert np.allclose(out.matrix, expected, atol=1e-12)
 
     def test_maximally_mixed_invariant(self):
         rho = DensityMatrix(IDENTITY_4 / 4)
-        assert np.allclose(free_evolution(rho, 0.123, PARAMS).matrix, rho.matrix)
+        assert np.allclose(apply_sequence(rho, [delay(0.123 * PARAMS.j_coupling)], PARAMS).matrix,
+                           rho.matrix)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            free_evolution(triplet(), -1.0, PARAMS)
+        with pytest.raises(ValueError, match="nonnegative"):
+            apply_sequence(triplet(), [delay(-1.0)], PARAMS)
 
     def test_off_resonance_knob(self):
         params = SpinSystemParams(offset_h=120.0, offset_c=-35.0)
@@ -173,7 +200,7 @@ class TestRfPulse:
 
     def test_y_half_pulse_makes_plus(self):
         rho = DensityMatrix(np.kron(ket_projector(1, 0), ket_projector(1, 0)))
-        out = rf_pulse(rho, rf("H", np.pi / 2, np.pi / 2), PARAMS)
+        out = apply_sequence(rho, [rf("H", np.pi / 2, np.pi / 2)], PARAMS)
         assert np.allclose(partial_a := np.einsum("ijkj->ik", out.matrix.reshape(2, 2, 2, 2)),
                            ket_projector(1, 1) / 2, atol=1e-12)
 
@@ -196,7 +223,7 @@ class TestRfPulse:
 class TestCompositeGates:
     def test_z_rotation_fixes_z_eigenstate(self):
         rho = DensityMatrix(np.kron(ket_projector(1, 0), IDENTITY_2 / 2))
-        out = composite_z_rotation(rho, "H", PARAMS)
+        out = apply_sequence(rho, z_rotation_events("H"), PARAMS)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_z_rotation_conjugates_x_to_y(self):
@@ -213,20 +240,19 @@ class TestCompositeGates:
 
     def test_z_rotation_on_both_channels_reproduces_yy_readout(self):
         rho = from_bloch(BlochSpec(c=np.array([0.2, -0.7, 0.4])))
-        stepped = composite_z_rotation(composite_z_rotation(rho, "H", PARAMS), "C", PARAMS)
-        xi = composite_cnot(stepped, PARAMS)
+        xi = apply_sequence(rho, z_rotation_events("H") + z_rotation_events("C") + cnot_events(), PARAMS)
         assert abs(readout_sigma_x_a(xi) - rho.expectation(pauli_pair(2))) < 1e-10
 
     def test_cnot_flips_target(self):
         rho = DensityMatrix(ket_projector(0, 0, 1, 0))
-        out = composite_cnot(rho, PARAMS)
+        out = apply_sequence(rho, cnot_events(), PARAMS)
         assert np.allclose(out.matrix, ket_projector(0, 0, 0, 1), atol=1e-10)
 
     def test_cnot_propagator_fidelity(self):
         u = sequence_propagator(cnot_events(), PARAMS)
-        assert propagator_fidelity(u, cnot().unitary) >= 1 - 1e-6
+        assert propagator_fidelity(u, CNOT) >= 1 - 1e-6
         u_fin = sequence_propagator(cnot_events(), PARAMS, "finite")
-        assert propagator_fidelity(u_fin, cnot().unitary) >= 0.999
+        assert propagator_fidelity(u_fin, CNOT) >= 0.999
 
     def test_cnot_twice_is_identity_up_to_phase(self):
         u = sequence_propagator(cnot_events(), PARAMS)
@@ -234,8 +260,8 @@ class TestCompositeGates:
 
     def test_sequence_mismatch_on_bad_calibration(self):
         bad = SpinSystemParams(pulse_pi2_h=2e-3, pulse_pi2_c=2e-3)
-        with pytest.raises(SequenceMismatch):
-            composite_cnot(triplet(), bad, model="finite")
+        with pytest.raises(SequenceMismatch, match="composite CNOT fidelity"):
+            pulse_step_unitaries(bad, "finite")
 
 
 class TestCachedPropagators:
@@ -261,7 +287,7 @@ class TestCachedPropagators:
     def test_cached_propagators_are_read_only(self, model):
         for u in (sequence_propagator(cnot_events(), PARAMS, model),
                   sequence_propagator(z_rotation_events("C"), PARAMS, model),
-                  pulse_step_unitaries(PARAMS, model)):
+                  pulse_step_unitaries(PARAMS, model), pulse_step_observables(PARAMS, model)):
             with pytest.raises(ValueError):
                 u[..., 0, 0] = 0.0
         # a repeated call returns the same cached array
@@ -290,9 +316,9 @@ class TestCachedPropagators:
         bad = SpinSystemParams(pulse_pi2_h=2e-3, pulse_pi2_c=2e-3)
         for _ in range(2):
             with pytest.raises(SequenceMismatch):
-                composite_cnot(triplet(), bad, model="finite")
-            with pytest.raises(SequenceMismatch):
                 pulse_step_unitaries(bad, "finite")
+            with pytest.raises(SequenceMismatch):
+                pulse_step_observables(bad, "finite")
             with pytest.raises(SequenceMismatch):
                 prepare_state("QC", bad, level="pulse", model="finite")
             with pytest.raises(SequenceMismatch):
@@ -314,6 +340,20 @@ class TestCachedPropagators:
         finally:
             nmr._segments.cache_clear()
 
+    def test_non_finite_segment_raises_when_the_cache_fills(self, monkeypatch):
+        import nmrwitness.nmr as nmr
+
+        def nan_propagator(tau, params):
+            return np.full((4, 4), np.nan + 0j)
+
+        monkeypatch.setattr(nmr, "free_evolution_propagator", nan_propagator)
+        nmr._segments.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="pulse program segment is not unitary"):
+                sequence_propagator([delay(0.5)], PARAMS)
+        finally:
+            nmr._segments.cache_clear()
+
     def test_instantaneous_model_needs_no_expm(self, monkeypatch):
         import nmrwitness.nmr as nmr
 
@@ -322,20 +362,22 @@ class TestCachedPropagators:
 
         monkeypatch.setattr(nmr, "expm", no_expm)
         for cached in (nmr._segments, nmr._checked_cnot, nmr.pulse_step_unitaries,
-                       nmr._pulse_deviation):
+                       nmr.pulse_step_observables, nmr._pulse_deviation):
             cached.cache_clear()
         prepare_state("QC", PARAMS, level="pulse")
-        pulse_step_unitaries(PARAMS)
+        pulse_step_observables(PARAMS)
         rf_propagator(rf("both", np.pi / 3, 0.7), PARAMS)
 
 
 class TestGradientDephase:
+    """The crusher gradient, run as a one-event program through apply_sequence."""
+
     def test_diagonal_fixed_point(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-        assert np.allclose(gradient_dephase(rho).matrix, rho.matrix)
+        assert np.allclose(apply_sequence(rho, [gradient()], PARAMS).matrix, rho.matrix)
 
     def test_triplet_becomes_classical_mixture(self):
-        out = gradient_dephase(triplet())
+        out = apply_sequence(triplet(), [gradient()], PARAMS)
         expect = (ket_projector(0, 1, 0, 0) + ket_projector(0, 0, 1, 0)) / 2
         assert np.allclose(out.matrix, expect, atol=1e-12)
         spec, _ = bloch_decompose(out)
@@ -345,8 +387,8 @@ class TestGradientDephase:
     @given(st.integers(0, 2**31))
     def test_idempotent_and_trace_preserving(self, seed):
         rho = random_density_matrix(np.random.default_rng(seed))
-        once = gradient_dephase(rho)
-        twice = gradient_dephase(once)
+        once = apply_sequence(rho, [gradient()], PARAMS)
+        twice = apply_sequence(once, [gradient()], PARAMS)
         assert np.allclose(once.matrix, twice.matrix, atol=1e-15)
         assert abs(np.trace(once.matrix).real - 1) < 1e-12
 
