@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Time each kernel of the package on fixed inputs, one line per kernel.
+
+The inputs are those of a benchmark ``readout`` item and of a ``sweep`` step
+stack: the pulse-level QC deviation at the default parameters, its state
+I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxation stack
+at the fig4 time step.  Each kernel runs once to fill the package's caches;
+its time is then the minimum, over REPEATS timeit repeats, of the mean time
+of one call, in microseconds:
+
+    python scripts/kernel_times.py
+
+Uses the package in this checkout's src/.  Compare two outputs only when
+they come from the same machine: the host's speed enters every line.
+"""
+
+import sys
+import timeit
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from nmrwitness import circuit, correlations, harness, nmr, states  # noqa: E402
+
+REPEATS = 7
+SWEEP_STEPS = 12
+SWEEP_DT = 0.0557
+
+
+def kernels() -> dict:
+    """Name -> zero-argument call of every timed kernel."""
+    params = nmr.SpinSystemParams()
+    eps = params.epsilon
+    dev = nmr.prepare_deviation("QC", params, level="pulse")
+    rho = states.compose_deviation(dev)
+    direction = circuit.sample_direction(0)
+    times = np.arange(SWEEP_STEPS) * SWEEP_DT
+    stack = nmr._relaxed(dev.delta, times, params, 1.0 / eps)
+    rng = np.random.default_rng(0)
+    return {
+        "DensityMatrix": lambda: states.DensityMatrix(rho.matrix),
+        "DeviationState": lambda: states.DeviationState(delta=dev.delta, epsilon=eps),
+        "pauli_table": lambda: states.pauli_table(rho.matrix),
+        "witness circuit": lambda: circuit.witness(
+            rho, direction, mode="circuit", normalization="thermal", epsilon=eps),
+        "witness direct": lambda: circuit.witness(
+            rho, direction, mode="direct", normalization="thermal", epsilon=eps),
+        f"epsilon_correlations ({SWEEP_STEPS} steps)": lambda: correlations.epsilon_correlations(stack),
+        f"_relaxed ({SWEEP_STEPS} steps)": lambda: nmr._relaxed(dev.delta, times, params, 1.0 / eps),
+        "perturb_deviation": lambda: harness.perturb_deviation(
+            dev, harness.DEFAULT_NOISE_LEVEL, rng),
+        "pulse_protocol_state": lambda: nmr.pulse_protocol_state(rho, 2, params, "finite"),
+    }
+
+
+def main() -> int:
+    for name, call in kernels().items():
+        call()
+        timer = timeit.Timer(call)
+        number, _ = timer.autorange()
+        best = min(timer.repeat(REPEATS, number)) / number
+        print(f"{name:<32s} {best * 1e6:9.2f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

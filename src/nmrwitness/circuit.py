@@ -15,6 +15,7 @@ delta of rho = I/4 + epsilon delta.  ``protocol_state`` keeps the
 Schrodinger picture on the unitaries, as an independent check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,13 @@ UNITARITY_TOL = 1e-12
 
 # |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
 _READOUT_BOUNDS = np.array([1.0, 1.0, 1.0, 2.0])
+_READOUT_LIMITS = _READOUT_BOUNDS + 1e-9
 
 # The pairs i < j of W, in the order (0, 1), (0, 2), ..., (2, 3), of all four
-# readouts (include_o4) or of the three correlations.
+# readouts (include_o4) or of the three correlations: as index arrays for a
+# stack, and as (i, j) tuples for one readout vector.
 _PAIRS = {True: np.triu_indices(4, 1), False: np.triu_indices(3, 1)}
+_PAIR_LIST = {k: tuple(zip(i.tolist(), j.tolist())) for k, (i, j) in _PAIRS.items()}
 
 # Protocol step -> (rotation axis, angle) applied to both qubits before the
 # CNOT.  The axis for step i is the one that carries sigma_i sigma_i into the
@@ -65,17 +69,17 @@ class WitnessDirection:
 class ProtocolReadout:
     """Expectations <O_1>..<O_4> of one state, shape (4,), or the first k of
     a stack of states, shape (..., k), in units of rho; ValueError names the
-    first readout over its bound."""
+    first readout over its bound or not a number."""
 
     o: np.ndarray
 
     def __post_init__(self):
         o = np.array(self.o, dtype=float)
-        bounds = _READOUT_BOUNDS[:o.shape[-1]]
-        over = np.abs(o) > bounds + 1e-9
-        if over.any():
-            k = np.unravel_index(int(np.argmax(over)), over.shape)
-            raise ValueError(f"readout {o[k]} exceeds its bound {bounds[k[-1]]}")
+        # "<=", so that a NaN, for which every comparison is False, fails
+        within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
+        if not within.all():
+            k = np.unravel_index(int(np.argmin(within)), within.shape)
+            raise ValueError(f"readout {o[k]} exceeds its bound {_READOUT_BOUNDS[k[-1]]}")
         o.flags.writeable = False
         object.__setattr__(self, "o", o)
 
@@ -138,9 +142,9 @@ def readout_sigma_x_a(xi: DensityMatrix) -> float:
     return xi.expectation(_SIGMA_X_A)
 
 
-def _o4(r: np.ndarray, dir: WitnessDirection) -> np.ndarray:
-    """<O_4> = z.a + w.b from a Pauli table or a (..., 4, 4) stack of them."""
-    return (r[..., None, 1:, 0] @ dir.z)[..., 0] + (r[..., None, 0, 1:] @ dir.w)[..., 0]
+def _o4(r: np.ndarray, dir: WitnessDirection) -> float:
+    """<O_4> = z.a + w.b from one Pauli table."""
+    return r[1:, 0] @ dir.z + r[0, 1:] @ dir.w
 
 
 def sample_direction(seed: int) -> WitnessDirection:
@@ -162,7 +166,11 @@ def run_protocol(state: DensityMatrix | DeviationState, dir: WitnessDirection,
     ``table`` is the (16, 3) readout table of a step stack: the ideal gates
     by default, or a pulse-level realization (``nmr.pulse_step_observables``)."""
     m, scale = _linear_input(state)
-    return ProtocolReadout(o=scale * np.append(step_readout(m, table), _o4(pauli_table(m), dir)))
+    o = np.empty(4)
+    o[:3] = step_readout(m, table)
+    o[3] = _o4(pauli_table(m), dir)
+    o *= scale
+    return ProtocolReadout(o=o)
 
 
 def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndarray:
@@ -177,7 +185,11 @@ def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndar
 def _direct_expectations(state: DensityMatrix | DeviationState, dir: WitnessDirection) -> np.ndarray:
     m, scale = _linear_input(state)
     r = pauli_table(m)
-    return scale * np.append(np.diag(r)[1:], _o4(r, dir))
+    o = np.empty(4)
+    o[:3] = r.diagonal()[1:]
+    o[3] = _o4(r, dir)
+    o *= scale
+    return o
 
 
 @dataclass(frozen=True)
@@ -229,20 +241,34 @@ def witness_sum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized readouts and W = sum_{i<j} |o_i o_j| for one readout
     vector (4,) or a stack of them (..., 4); see
-    ``witness_from_expectations`` for the options."""
+    ``witness_from_expectations`` for the options.  ValueError if a readout
+    is NaN or infinite.
+
+    Both paths add the terms left to right, pair by pair, as a loop over the
+    pairs does, so they give the same bits: one vector with Python floats,
+    which cost less than numpy calls on four numbers, and a stack with
+    add.accumulate (a plain sum may group the terms differently)."""
     o = np.array(o, dtype=float)
     if normalization == "thermal":
         if epsilon is None:
             raise ValueError("thermal normalization needs epsilon")
-        if not (epsilon > 0 and np.isfinite(epsilon)):
+        if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError(f"thermal normalization needs a positive finite epsilon, got {epsilon}")
         o = o / (2.0 * epsilon)
     elif normalization != "raw":
         raise ValueError(f"unknown normalization {normalization!r}")
 
+    if o.shape == (4,):
+        v = o.tolist()
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"readouts must be finite, got {v}")
+        w = 0.0
+        for i, j in _PAIR_LIST[bool(include_o4)]:
+            w += abs(v[i] * v[j])
+        return o, np.float64(w)
+    if not np.isfinite(o).all():
+        raise ValueError("readouts must be finite")
     i, j = _PAIRS[bool(include_o4)]
-    # add.accumulate adds the terms left to right, pair by pair, as a loop
-    # over the pairs does; a plain sum may group them differently.
     return o, np.add.accumulate(np.abs(o[..., i] * o[..., j]), axis=-1).take(-1, axis=-1)
 
 
@@ -257,7 +283,7 @@ def witness(
 ) -> WitnessReport:
     """Evaluate the nonlinear witness W >= 0; W = 0 certifies classicality."""
     if mode == "circuit":
-        o = run_protocol(state, dir).o.copy()
+        o = run_protocol(state, dir).o
     elif mode == "direct":
         o = _direct_expectations(state, dir)
     else:

@@ -135,11 +135,13 @@ class RunReport:
 
 # --- noise injection ---------------------------------------------------------
 
+_EYE_4 = np.eye(4)
+
 
 def _random_traceless_hermitian(rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2
-    h -= np.trace(h) / 4 * np.eye(4)
+    h -= np.trace(h) / 4 * _EYE_4
     return h / np.linalg.norm(h)
 
 
@@ -154,7 +156,10 @@ def perturb_deviation(dev: DeviationState, level: float,
     """Model of imperfect preparation: small random local rotations (coherent
     pulse miscalibration, the dominant error) plus a weaker additive traceless
     perturbation scaled to the deviation amplitude (incoherent floor)."""
-    u = np.kron(_small_rotation(rng, level), _small_rotation(rng, level))
+    a, b = _small_rotation(rng, level), _small_rotation(rng, level)
+    # np.kron(a, b) without its per-call shape handling: the same broadcast
+    # product, reshaped, so the same bits
+    u = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
     delta = u @ dev.delta @ u.conj().T
     delta = (delta + delta.conj().T) / 2.0    # drop the rotation's anti-Hermitian rounding
     scale = np.linalg.norm(dev.delta)

@@ -56,6 +56,7 @@ from .states import (
     DensityMatrix,
     DeviationState,
     _fields,
+    _number,
     compose_deviation,
     extract_deviation,
     from_pauli_table,
@@ -567,13 +568,6 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
 
 
 # --- pulse sequence wire format -------------------------------------------------
-
-
-def _number(value, key: str, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise BadDocument(f"{where} key {key!r} must be a number, got {value!r}") from None
 
 
 def load_pulse_sequence(doc: list) -> list:

@@ -384,11 +384,36 @@ def _fields(doc, keys: tuple, where: str) -> list:
     return [doc[key] for key in keys]
 
 
+def _number(value, key: str, where: str) -> float:
+    """``value`` as a float; BadDocument naming ``key`` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadDocument(f"{where} key {key!r} must be a number, got {value!r}") from None
+
+
+def _numbers(value, key: str, where: str) -> np.ndarray:
+    """``value`` as a float array; BadDocument naming ``key`` if it is not an
+    array of numbers, such as a JSON null or string, which numpy would read
+    as NaN or parse.  Its shape is checked by the type it is read into."""
+    try:
+        if value is not None and not isinstance(value, str):
+            return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadDocument(f"{where} key {key!r} must be an array of numbers, got {value!r}")
+
+
 def state_from_json(doc: dict):
-    """Parse either wire form; returns a DeviationState or a DensityMatrix."""
+    """Parse either wire form; returns a DeviationState or a DensityMatrix.
+    A missing key or a value that is not a number (or an array of numbers)
+    raises BadDocument naming the key."""
     if isinstance(doc, dict) and "bloch" in doc:
-        a, b, c = _fields(doc["bloch"], ("a", "b", "c"), "bloch block")
-        return from_bloch(BlochSpec(a=np.array(a), b=np.array(b), c=np.array(c)))
-    re, im, epsilon = _fields(doc, ("delta_re", "delta_im", "epsilon"), "state document")
-    delta = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-    return DeviationState(delta=delta, epsilon=float(epsilon))
+        where = "bloch block"
+        vectors = _fields(doc["bloch"], ("a", "b", "c"), where)
+        a, b, c = (_numbers(v, key, where) for key, v in zip("abc", vectors))
+        return from_bloch(BlochSpec(a=a, b=b, c=c))
+    where = "state document"
+    re, im, epsilon = _fields(doc, ("delta_re", "delta_im", "epsilon"), where)
+    delta = _numbers(re, "delta_re", where) + 1j * _numbers(im, "delta_im", where)
+    return DeviationState(delta=delta, epsilon=_number(epsilon, "epsilon", where))

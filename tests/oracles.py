@@ -8,7 +8,9 @@ correlations are the closed form of the literature.  Likewise the relaxation
 oracle is the explicit Kraus sum of the channel, while the production
 ``relax`` is an affine map on the Pauli table, and the pulse-program oracle
 runs the per-event propagators one at a time in extended precision, while
-the production kernel applies folded float segments.
+the production kernel applies folded float segments.  The noise-model
+oracle is the preparation-noise draw written with ``np.kron`` and
+``np.eye``, which the production code no longer calls.
 """
 
 import numpy as np
@@ -262,6 +264,37 @@ def run_pulse_program_extended(m: np.ndarray, steps: list, digits: int = 50) -> 
                 u = mpmath.matrix(np.asarray(u).tolist())
                 out = u * out * u.transpose_conj()
         return np.array([[complex(out[i, j]) for j in range(4)] for i in range(4)])
+
+
+# --- preparation noise -----------------------------------------------------------
+
+_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def _small_rotation(rng: np.random.Generator, level: float) -> np.ndarray:
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.normal(0.0, level)
+    n_sigma = axis[0] * _SIGMA[0] + axis[1] * _SIGMA[1] + axis[2] * _SIGMA[2]
+    return np.cos(angle / 2) * np.eye(2, dtype=complex) - 1j * np.sin(angle / 2) * n_sigma
+
+
+def perturb_deviation_kron(delta: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
+    """The noisy deviation matrix of ``harness.perturb_deviation`` as it was
+    written with ``np.kron`` and ``np.eye``: the rotation u_a x u_b of two
+    small random su(2) rotations (axis, then angle, qubit a first), then a
+    random traceless Hermitian term of relative size level / 4, drawn in
+    that order from ``rng``."""
+    u = np.kron(_small_rotation(rng, level), _small_rotation(rng, level))
+    out = u @ delta @ u.conj().T
+    out = (out + out.conj().T) / 2.0
+    scale = np.linalg.norm(delta)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2
+    h -= np.trace(h) / 4 * np.eye(4)
+    return out + (level / 4.0) * scale * (h / np.linalg.norm(h))
 
 
 # --- state validators ------------------------------------------------------------

@@ -212,6 +212,17 @@ class TestLinearReadout:
         with pytest.raises(ValueError, match="exceeds its bound 1.0"):
             ProtocolReadout(o=np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_readout_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 1.0"):
+            ProtocolReadout(o=[bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 2.0"):
+            ProtocolReadout(o=[0.0, 0.0, 0.0, bad])
+        stack = np.full((3, 2, 3), 0.5)
+        stack[2, 1, 0] = bad
+        with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 1.0"):
+            ProtocolReadout(o=stack)
+
 
 class TestReadout:
     def test_maximally_mixed_reads_zero(self):
@@ -348,6 +359,32 @@ class TestWitness:
         _, got = witness_sum(o, include_o4=include_o4)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.sampled_from(["raw", "thermal"]), st.booleans())
+    def test_witness_sum_vector_path_bitwise_equals_stack_path(self, seed, normalization, include_o4):
+        rng = np.random.default_rng(seed)
+        o = rng.standard_normal(4) * 10.0 ** rng.integers(-9, 9, size=4)
+        epsilon = 10.0 ** rng.uniform(-6, 0)
+        o_vec, w_vec = witness_sum(o, normalization, epsilon, include_o4)
+        o_stack, w_stack = witness_sum(o[None], normalization, epsilon, include_o4)
+        assert type(w_vec) is np.float64 and w_vec.tobytes() == w_stack[0].tobytes()
+        assert o_vec.tobytes() == o_stack[0].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape, include_o4", [
+        ((4,), True), ((4,), False), ((5, 4), True), ((2, 3, 4), False), ((7, 3), False)])
+    def test_witness_sum_rejects_non_finite_readouts(self, bad, shape, include_o4):
+        o = np.full(shape, 0.25)
+        o[..., -1] = bad    # <O_4>, or <O_3> of a three-readout stack
+        with pytest.raises(ValueError, match="readouts must be finite"):
+            witness_sum(o, include_o4=include_o4)
+        with pytest.raises(ValueError, match="readouts must be finite"):
+            witness_sum(o, "thermal", 1e-5, include_o4)
+
+    def test_nan_is_not_a_witness(self):
+        with pytest.raises(ValueError, match="readouts must be finite"):
+            witness_from_expectations([np.nan, 0.1, 0.2, 0.3], "circuit")
 
     def test_report_json_fields(self):
         rep = witness(triplet(), sample_direction(4), seed=4)

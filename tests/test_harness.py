@@ -28,6 +28,9 @@ from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import SpinSystemParams
 from nmrwitness.pauli import SIGMA_Z
 
+from conftest import random_traceless_hermitian
+from oracles import perturb_deviation_kron
+
 
 def read(path: Path) -> str:
     return Path(path).read_text()
@@ -217,6 +220,19 @@ class TestNoiseModel:
         noisy = perturb_deviation(dev, 0.0, rng)
         assert np.allclose(noisy.delta, dev.delta, atol=1e-12)
 
+    @pytest.mark.parametrize("level", [0.0, 0.06, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+    def test_matches_kron_oracle_bitwise(self, seed, level):
+        """The same draws in the same order and the same arithmetic as the
+        np.kron / np.eye form of the noise model."""
+        for dev in (extract_deviation(prepare_state("QC", SpinSystemParams()), 1e-5),
+                    DeviationState(delta=random_traceless_hermitian(np.random.default_rng(seed)),
+                                   epsilon=1e-5)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = perturb_deviation(dev, level, rng)
+            assert np.array_equal(got.delta, perturb_deviation_kron(dev.delta, level, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestCli:
     def test_fig2_exit_zero_and_files(self, tmp_path, capsys):
@@ -344,6 +360,22 @@ class TestCli:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         self._one_line_exit_2(capsys, [command, str(path)], f"lacks the key {key!r}")
+
+    @pytest.mark.parametrize("command", ["custom", "validate"])
+    @pytest.mark.parametrize("doc, key", [
+        ({"epsilon": None, "delta_re": np.zeros((4, 4)).tolist(),
+          "delta_im": np.zeros((4, 4)).tolist()}, "epsilon"),
+        ({"epsilon": 1e-5, "delta_re": np.zeros((4, 4)).tolist(), "delta_im": {"a": 1}}, "delta_im"),
+        ({"bloch": {"a": {"x": 1}, "b": [0, 0, 0], "c": [1, 1, -1]}}, "a"),
+        ({"epsilon": 1e-5, "delta_re": None, "delta_im": np.zeros((4, 4)).tolist()}, "delta_re"),
+        ({"bloch": {"a": [0, 0, 0], "b": "0", "c": [1, 1, -1]}}, "b"),
+    ])
+    def test_state_non_number_exit_2(self, tmp_path, capsys, command, doc, key):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        self._one_line_exit_2(capsys, [command, str(path)], f"key {key!r} must be")
+        with pytest.raises(BadDocument, match=f"key {key!r} must be"):
+            state_from_json(doc)
 
     @pytest.mark.parametrize("doc, key", [
         ({"state_kinds": 5}, "state_kinds"),
