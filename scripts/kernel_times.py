@@ -4,9 +4,10 @@
 The inputs are those of a benchmark ``readout`` item and of a ``sweep`` step
 stack: the pulse-level QC deviation at the default parameters, its state
 I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxation stack
-at the fig4 time step.  Each kernel runs once to fill the package's caches;
-its time is then the minimum, over REPEATS timeit repeats, of the mean time
-of one call, in microseconds:
+at the fig4 time step.  The exact discord search runs on one seed-0 Ginibre
+state, the input of a ``custom`` item.  Each kernel runs once to fill the
+package's caches; its time is then the minimum, over REPEATS timeit repeats,
+of the mean time of one call, in microseconds:
 
     python scripts/kernel_times.py
 
@@ -39,6 +40,9 @@ def kernels() -> dict:
     times = np.arange(SWEEP_STEPS) * SWEEP_DT
     stack = nmr._relaxed(dev.delta, times, params, 1.0 / eps)
     rng = np.random.default_rng(0)
+    g = np.random.default_rng(0).standard_normal((4, 4, 2)) @ np.array([1.0, 1j])
+    g = g @ g.conj().T
+    ginibre = states.DensityMatrix(g / np.trace(g).real)
     return {
         "DensityMatrix": lambda: states.DensityMatrix(rho.matrix),
         "DeviationState": lambda: states.DeviationState(delta=dev.delta, epsilon=eps),
@@ -52,6 +56,7 @@ def kernels() -> dict:
         "perturb_deviation": lambda: harness.perturb_deviation(
             dev, harness.DEFAULT_NOISE_LEVEL, rng),
         "pulse_protocol_state": lambda: nmr.pulse_protocol_state(rho, 2, params, "finite"),
+        "symmetric_discord (Ginibre)": lambda: correlations.symmetric_discord(ginibre),
     }
 
 

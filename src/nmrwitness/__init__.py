@@ -17,7 +17,6 @@ from .circuit import (
 from .correlations import (
     CorrelationReport,
     MeasurementBasis,
-    OptimizerConfig,
     discord_epsilon,
     entropy,
     measure_map,

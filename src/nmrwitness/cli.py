@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from .correlations import OptimizerConfig
 from .errors import (
     BadConfig,
     BadDistribution,
@@ -122,9 +121,6 @@ def _config_from_args(args) -> ExperimentConfig:
         param_overrides["epsilon"] = args.epsilon
     params = dataclasses.replace(SpinSystemParams(), **param_overrides)
 
-    opt_overrides = _known_keys(overrides.pop("optimizer", {}), OptimizerConfig, "optimizer")
-    optimizer = dataclasses.replace(OptimizerConfig(), **opt_overrides)
-
     out_dir = args.out or os.environ.get(OUT_DIR_ENV)
     config = ExperimentConfig(
         experiment=args.command,
@@ -132,7 +128,6 @@ def _config_from_args(args) -> ExperimentConfig:
         normalization=args.normalization,
         noise_level=args.noise,
         pulse_level=args.pulse_level,
-        optimizer=optimizer,
         params=params,
         out_dir=out_dir,
         write_timing=args.timing,

@@ -6,9 +6,11 @@ projective measurement, and the symmetric quantum discord is the gap.
 Both the exact (bits) and the leading-order high-temperature expansion
 (units of (epsilon^2/ln2) bit) are provided.  The expansion is closed form
 in the singular values of the deviation's 3x3 correlation block T.  Only the
-exact measurement optimization searches: a coarse grid over the four Bloch
-angles followed by Nelder-Mead refinement from the best grid cells; it is
-fully deterministic.
+exact measurement optimization searches, all of it in ``symmetric_discord``: a
+grid over both qubits' Bloch directions, one hemisphere each (n and -n give
+the same projectors), followed by Nelder-Mead refinement from the best
+distinct grid bases; its settings are module constants and it is fully
+deterministic.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import OptimizerFailure, check_config, is_finite, is_int
+from .errors import OptimizerFailure
 from .pauli import bloch_vector_to_op, direction
 from .states import DensityMatrix, DeviationState, partial_trace, pauli_table
 
@@ -50,27 +52,6 @@ class MeasurementBasis:
 
     def angles(self) -> tuple[float, float, float, float]:
         return (self.theta_a, self.phi_a, self.theta_b, self.phi_b)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Grid-then-refine settings for the exact measurement-basis search."""
-
-    grid_points: int = 24
-    refine_starts: int = 5
-    maxiter: int = 800
-    xatol: float = 1e-9
-    fatol: float = 1e-13
-    start_separation: float = 0.3
-
-    def __post_init__(self):
-        """Counts integers of at least 1, the rest finite and nonnegative;
-        each failure raises BadConfig naming the field."""
-        for key, v in vars(self).items():
-            if key in ("grid_points", "refine_starts", "maxiter"):
-                check_config(is_int(v) and v >= 1, f"optimizer.{key}", v, "an integer of at least 1")
-            else:
-                check_config(is_finite(v) and v >= 0, f"optimizer.{key}", v, "a finite nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -237,22 +218,20 @@ def _exact_objective(a, b, t, na: np.ndarray, nb: np.ndarray):
 
 # --- grid + simplex search --------------------------------------------------
 
+GRID_POINTS = 24
+REFINE_STARTS = 5
+START_SEPARATION = 0.3
+_NELDER_MEAD = {"maxiter": 800, "xatol": 1e-9, "fatol": 1e-13}
 
-def _grid_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    thetas = np.linspace(0.0, np.pi, n)
-    phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return thetas, phis
-
-
-def _grid_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All grid directions, theta-major, plus the flat (theta, phi) table."""
-    thetas, phis = _grid_angles(n)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    dirs = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    )
-    return dirs, np.stack([tt, pp], axis=-1)
+# (theta, phi) cells of one qubit's search grid, shape (265, 2): the pole and
+# the theta < pi/2 rows of the GRID_POINTS x GRID_POINTS full-sphere grid.
+# Every other cell of the full grid is a repeat of the pole or the antipode of
+# a kept cell, and n and -n give the same projectors, so each grid basis is
+# scored once and each refinement start is a distinct basis.
+GRID_ANGLES = np.array([(0.0, 0.0)] + [
+    (th, ph) for th in np.linspace(0.0, np.pi, GRID_POINTS)[1:] if th < np.pi / 2
+    for ph in np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)])
+GRID_ANGLES.flags.writeable = False
 
 
 def _canonical_angles(n: np.ndarray) -> tuple[float, float]:
@@ -267,75 +246,47 @@ def _canonical_angles(n: np.ndarray) -> tuple[float, float]:
     return th, ph
 
 
-def _maximize(value_on_grid, value_at, opt: OptimizerConfig) -> tuple[float, MeasurementBasis]:
-    """Shared grid-then-Nelder-Mead driver; the answer is the best of the
-    starts that converged.
+def symmetric_discord(rho: DensityMatrix) -> CorrelationReport:
+    """Exact symmetric discord: Q = I - max_basis I(chi), in bits.
 
-    ``value_on_grid(na, nb)`` evaluates broadcast direction arrays;
-    ``value_at(angles)`` evaluates one (theta_a, phi_a, theta_b, phi_b).
+    The search scores every pair of GRID_ANGLES cells, refines the
+    REFINE_STARTS best cells at least START_SEPARATION apart (in stable grid
+    order) by Nelder-Mead, and answers with the best start that converged;
+    among values within 1e-12 of it, the lexicographically smallest canonical
+    angles.  No converged start raises OptimizerFailure.
     """
-    dirs, angs = _grid_directions(opt.grid_points)
-    table = value_on_grid(dirs[:, None, :], dirs[None, :, :])
-    flat = table.ravel()
-    order = np.argsort(-flat, kind="stable")
-
-    n_side = dirs.shape[0]
-    starts = []
-    for idx in order:
-        p, q = divmod(int(idx), n_side)
-        cand = np.array([angs[p, 0], angs[p, 1], angs[q, 0], angs[q, 1]])
-        if all(np.linalg.norm(cand - s) >= opt.start_separation for s in starts):
-            starts.append(cand)
-        if len(starts) >= opt.refine_starts:
-            break
-
-    best = []
-    for x0 in starts:
-        res = minimize(
-            lambda x: -value_at(x),
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": opt.maxiter,
-                "xatol": opt.xatol,
-                "fatol": opt.fatol,
-            },
-        )
-        if not res.success:
-            continue
-        t_a, p_a = _canonical_angles(direction(res.x[0], res.x[1]))
-        t_b, p_b = _canonical_angles(direction(res.x[2], res.x[3]))
-        best.append((-res.fun, (t_a, p_a, t_b, p_b)))
-    if not best:
-        raise OptimizerFailure("no Nelder-Mead start converged within budget")
-
-    # Deterministic tie-break: among near-equal optima report the basis with
-    # the lexicographically smallest canonical angles.
-    top = max(v for v, _ in best)
-    ties = sorted(angles for v, angles in best if v >= top - 1e-12)
-    angles = ties[0]
-    return float(value_at(np.array(angles))), MeasurementBasis(*angles)
-
-
-def symmetric_discord(rho: DensityMatrix, opt: OptimizerConfig | None = None) -> CorrelationReport:
-    """Exact symmetric discord: Q = I - max_basis I(chi), in bits."""
-    opt = opt or OptimizerConfig()
     a, b, t = pauli_coefficients(rho.matrix)
     total = mutual_information(rho)
 
-    def on_grid(na, nb):
-        return _exact_objective(a, b, t, na, nb)
+    dirs = direction(*GRID_ANGLES.T).T
+    table = _exact_objective(a, b, t, dirs[:, None, :], dirs[None, :, :])
+    starts = []
+    for idx in np.argsort(-table.ravel(), kind="stable"):
+        p, q = divmod(int(idx), len(GRID_ANGLES))
+        cand = np.concatenate((GRID_ANGLES[p], GRID_ANGLES[q]))
+        if all(np.linalg.norm(cand - s) >= START_SEPARATION for s in starts):
+            starts.append(cand)
+            if len(starts) == REFINE_STARTS:
+                break
 
-    def at(x):
-        na = direction(x[0], x[1])
-        nb = direction(x[2], x[3])
-        return float(_exact_objective(a, b, t, na, nb))
+    def negative_value(x):
+        return -float(_exact_objective(a, b, t, direction(x[0], x[1]), direction(x[2], x[3])))
 
-    _, basis = _maximize(on_grid, at, opt)
+    best = []
+    for x0 in starts:
+        res = minimize(negative_value, x0, method="Nelder-Mead", options=_NELDER_MEAD)
+        if res.success:
+            angles = (*_canonical_angles(direction(res.x[0], res.x[1])),
+                      *_canonical_angles(direction(res.x[2], res.x[3])))
+            best.append((-res.fun, angles))
+    if not best:
+        raise OptimizerFailure("no Nelder-Mead start converged within budget")
+    top = max(v for v, _ in best)
+    basis = MeasurementBasis(*min(angles for v, angles in best if v >= top - 1e-12))
+
     # Evaluate the reported classical share through the full measurement map
     # so the answer does not depend on the fast objective used in the search.
-    chi = measure_map(rho, basis)
-    classical = mutual_information(chi)
+    classical = mutual_information(measure_map(rho, basis))
     return CorrelationReport(
         mutual_info=total,
         quantum=total - classical,

@@ -43,9 +43,14 @@ def is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v) -> bool:
+    """A real number that is not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def is_finite(v) -> bool:
     try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        return is_real(v) and math.isfinite(v)
     except OverflowError:           # an int beyond the float range
         return False
 

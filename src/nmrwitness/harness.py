@@ -22,7 +22,6 @@ from .circuit import (
     witness_from_expectations,
 )
 from .correlations import (
-    OptimizerConfig,
     discord_epsilon,
     mutual_information,
     symmetric_discord,
@@ -70,7 +69,6 @@ class ExperimentConfig:
     noise_level: float | None = None        # None disables noise injection
     pulse_level: bool = False
     direction_seeds: tuple | None = None    # default: (seed,); W = max over seeds
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     params: SpinSystemParams = field(default_factory=SpinSystemParams)
     out_dir: str | None = None
     delta_t: float = 0.0557                 # s
@@ -100,7 +98,6 @@ class ExperimentConfig:
             check(isinstance(seeds, (list, tuple)) and all(is_int(s) and s >= 0 for s in seeds),
                   "direction_seeds", "null or a list of nonnegative integers")
             object.__setattr__(self, "direction_seeds", tuple(seeds))
-        check(isinstance(self.optimizer, OptimizerConfig), "optimizer", "an OptimizerConfig")
         check(isinstance(self.params, SpinSystemParams), "params", "a SpinSystemParams")
         check(self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike)), "out_dir",
               "null or a path")
@@ -335,7 +332,7 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     gap = float(np.max(np.abs(circuit_rep.o - direct_rep.o)))
     if gap > CROSS_CHECK_TOL:
         raise CrossCheckFailure(f"circuit vs direct gap {gap:.3e}")
-    exact = symmetric_discord(state, config.optimizer)
+    exact = symmetric_discord(state)
     rows = [{
         "witness_circuit": circuit_rep.to_json(),
         "witness_direct": direct_rep.to_json(),

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDistribution, BadDocument, EpsilonMismatch, NotAState
+from .errors import BadDistribution, BadDocument, EpsilonMismatch, NotAState, is_real
 from .pauli import IDENTITY_2, IDENTITY_4, SIGMA
 
 HERMITICITY_TOL = 1e-12
@@ -385,21 +385,27 @@ def _fields(doc, keys: tuple, where: str) -> list:
 
 
 def _number(value, key: str, where: str) -> float:
-    """``value`` as a float; BadDocument naming ``key`` if it is not a number."""
+    """``value`` as a float; BadDocument naming ``key`` if it is not a real
+    number: a string, a bool and a null are not, though float() would parse
+    the first and read the second as 1.0."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise BadDocument(f"{where} key {key!r} must be a number, got {value!r}") from None
+        if is_real(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise BadDocument(f"{where} key {key!r} must be a number, got {value!r}")
 
 
 def _numbers(value, key: str, where: str) -> np.ndarray:
-    """``value`` as a float array; BadDocument naming ``key`` if it is not an
-    array of numbers, such as a JSON null or string, which numpy would read
-    as NaN or parse.  Its shape is checked by the type it is read into."""
+    """``value`` as a float array; BadDocument naming ``key`` unless every
+    entry is a real number, at any depth: numpy would parse a string, read a
+    bool as 1.0 and a null as NaN.  Its shape is checked by the type it is
+    read into."""
     try:
-        if value is not None and not isinstance(value, str):
-            return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        entries = np.array(value, dtype=object)
+        if all(is_real(v) for v in entries.flat):
+            return entries.astype(float)
+    except (ValueError, OverflowError):
         pass
     raise BadDocument(f"{where} key {key!r} must be an array of numbers, got {value!r}")
 

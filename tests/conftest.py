@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from nmrwitness import DensityMatrix
 
@@ -35,3 +36,14 @@ def ket_projector(*amplitudes) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def no_start_converges(monkeypatch):
+    """Every Nelder-Mead start of the exact discord search reports failure."""
+    import nmrwitness.correlations as correlations
+
+    def never_converges(fun, x0, **kwargs):
+        return OptimizeResult(x=x0, fun=fun(x0), success=False)
+
+    monkeypatch.setattr(correlations, "minimize", never_converges)

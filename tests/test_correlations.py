@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from nmrwitness import (
     DensityMatrix,
     DeviationState,
     MeasurementBasis,
-    OptimizerConfig,
     classical_state,
     compose_deviation,
     discord_epsilon,
@@ -252,10 +253,9 @@ class TestSymmetricDiscord:
             assert abs(rep.classical - classical) <= 1e-12
             assert abs(rep.quantum - quantum) <= 1e-12
 
-    def test_optimizer_failure_on_tiny_budget(self):
-        opt = OptimizerConfig(maxiter=1)
+    def test_optimizer_failure_on_tiny_budget(self, no_start_converges):
         with pytest.raises(OptimizerFailure):
-            symmetric_discord(bell_phi_plus(), opt)
+            symmetric_discord(bell_phi_plus())
 
     def test_only_converged_starts_are_chosen(self, rng, monkeypatch):
         import nmrwitness.correlations as correlations
@@ -275,11 +275,48 @@ class TestSymmetricDiscord:
 
         monkeypatch.setattr(correlations, "minimize", first_start_fails_with_the_best_value)
         got = symmetric_discord(rho)
-        assert len(calls) == OptimizerConfig().refine_starts
+        assert len(calls) == correlations.REFINE_STARTS
         fake_angles = (*correlations._canonical_angles(direction(*fake_x[:2])),
                        *correlations._canonical_angles(direction(*fake_x[2:])))
         assert got.argmax_basis.angles() != fake_angles
         assert abs(got.classical - want.classical) < 1e-9
+
+    def test_every_start_is_a_distinct_basis(self, rng, monkeypatch):
+        import nmrwitness.correlations as correlations
+
+        real = correlations.minimize
+        starts = []
+
+        def recording(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(correlations, "minimize", recording)
+
+        def canonical(theta, phi):
+            return direction(*correlations._canonical_angles(direction(theta, phi)))
+
+        for _ in range(4):
+            starts.clear()
+            symmetric_discord(random_density_matrix(rng))
+            assert len(starts) == correlations.REFINE_STARTS
+            # Compared as vectors: a canonical phi near 0 and one near 2 pi
+            # are the same direction.
+            bases = [np.concatenate((canonical(*x[:2]), canonical(*x[2:]))) for x in starts]
+            for i, j in itertools.combinations(range(len(bases)), 2):
+                assert not np.allclose(bases[i], bases[j], atol=1e-9)
+
+    def test_grid_holds_each_full_sphere_basis_once(self):
+        import nmrwitness.correlations as correlations
+
+        n = correlations.GRID_POINTS
+        thetas = np.linspace(0.0, np.pi, n)
+        phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        full = np.array([direction(th, ph) for th in thetas for ph in phis])
+        kept = np.array([direction(th, ph) for th, ph in correlations.GRID_ANGLES])
+        # every full-grid direction is +/- a kept one, and no two kept ones are
+        assert np.all(np.abs(np.abs(full @ kept.T).max(axis=1) - 1.0) < 1e-15)
+        assert (np.abs(kept @ kept.T) - np.eye(len(kept))).max() < 1.0 - 1e-6
 
     def test_report_serialization(self):
         rep = symmetric_discord(bell_phi_plus())

@@ -139,6 +139,11 @@ class TestPulseEvent:
         ([{"kind": "rf", "channel": "H", "angle": "a"}], "item 0 key 'angle' must be a number, got 'a'"),
         ([{"kind": "rf", "channel": "H", "angle": 1.0, "phase": None}], "item 0 key 'phase' must be a number"),
         ([{"kind": "delay", "j_units": [1]}], "item 0 key 'j_units' must be a number"),
+        ([{"kind": "rf", "channel": "H", "angle": "1.5"}], "item 0 key 'angle' must be a number, got '1.5'"),
+        ([{"kind": "rf", "channel": "H", "angle": True}], "item 0 key 'angle' must be a number, got True"),
+        ([{"kind": "rf", "channel": "H", "angle": 1.0, "duration": "1e-5"}],
+         "item 0 key 'duration' must be a number, got '1e-5'"),
+        ([{"kind": "delay", "j_units": False}], "item 0 key 'j_units' must be a number, got False"),
     ])
     def test_malformed_document_is_a_bad_document(self, doc, needle):
         with pytest.raises(BadDocument, match=re.escape(needle)):
