@@ -13,13 +13,17 @@ the nine-pulse CNOT sequence reproduces the ideal gate exactly when read in
 time order, while the three-pulse z-rotation must be read as an operator
 product (reversed time order) to give R_z(+pi/2) rather than its inverse.
 
-Every pulse program, one event or many, runs through ``apply_sequence``.
-Pulse propagators are constants of (events, params, model): every
-gradient-free run of a pulse program is folded into one read-only unitary
-and cached, and so are the checked composite CNOT, the three pulse-level
-witness steps and their readout table.  Instantaneous pulses are
-closed-form SU(2) rotations; only the finite pulse model calls ``expm``,
-when a cache entry is first built.
+The pulse programs are module constants (``CNOT_EVENTS``,
+``Z_ROTATION_EVENTS``, ``PSEUDO_PURE_11_EVENTS``, ``PSEUDO_EPR_EVENTS``).
+``_segments`` folds each gradient-free run of a program into one checked,
+read-only unitary.  The preparations run the folded program on the thermal
+deviation (``_run``), the witness steps take the unitary of gradient-free
+programs (``sequence_propagator``), and ``apply_sequence`` runs a program
+on a DensityMatrix.  Three products are cached constants of (params,
+model), the ones that callers repeat: the pulse-level deviation of each
+prepared kind, the three pulse-level witness steps (with the checked
+composite CNOT) and their readout table.  Instantaneous pulses are
+closed-form SU(2) rotations; only the finite pulse model calls ``expm``.
 """
 
 import dataclasses
@@ -80,16 +84,13 @@ class SpinSystemParams:
     pulse_pi2_c: float = 9.6e-6        # s
     epsilon: float = 1e-5
     gamma_ratio: float = 3.98          # omega_H / omega_C
-    offset_h: float = 0.0              # Hz, rotating-frame offset (on resonance)
-    offset_c: float = 0.0              # Hz
 
     def __post_init__(self):
-        """Every field a finite number, all but the offsets positive; each
-        failure raises BadConfig naming the field."""
+        """Every field a positive finite number; each failure raises
+        BadConfig naming the field."""
         for f in dataclasses.fields(self):
-            v, offset = getattr(self, f.name), f.name.startswith("offset_")
-            check_config(is_finite(v) and (offset or v > 0), f"params.{f.name}", v,
-                         "a finite number" if offset else "a positive finite number")
+            v = getattr(self, f.name)
+            check_config(is_finite(v) and v > 0, f"params.{f.name}", v, "a positive finite number")
         # T2* is the total transverse rate; it cannot be slower than the
         # longitudinal contribution alone.
         check_config(self.t2s_h <= 2 * self.t1_h, "params.t2s_h", self.t2s_h, "at most 2 * t1_h")
@@ -174,12 +175,9 @@ class DynamicsSeries:
 
 
 def _drift_diagonal(params: SpinSystemParams) -> np.ndarray:
-    """Diagonal of the drift Hamiltonian: J coupling plus any rotating-frame
-    offsets (zero on resonance, the experimental default)."""
-    h = 2 * np.pi * params.j_coupling / 4.0 * np.array([1.0, -1.0, -1.0, 1.0])
-    h -= 2 * np.pi * params.offset_h / 2.0 * np.array([1.0, 1.0, -1.0, -1.0])
-    h -= 2 * np.pi * params.offset_c / 2.0 * np.array([1.0, -1.0, 1.0, -1.0])
-    return h
+    """Diagonal of the on-resonance drift Hamiltonian, the J coupling
+    2 pi J Iz Iz."""
+    return 2 * np.pi * params.j_coupling / 4.0 * np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def free_evolution_propagator(tau: float, params: SpinSystemParams) -> np.ndarray:
@@ -229,12 +227,11 @@ def _frozen(u: np.ndarray) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=256)
-def _segments(events: tuple, params: SpinSystemParams, model: str) -> tuple:
+def _segments(events, params: SpinSystemParams, model: str) -> tuple:
     """A pulse program as its folded segments, in time order: one read-only
     4x4 unitary per gradient-free run of events and None per gradient.
-    Each folded unitary passes ``circuit._checked_unitary`` once, when the
-    cache entry is built (ValueError otherwise, also for a NaN entry)."""
+    Each folded unitary passes ``circuit._checked_unitary`` (ValueError
+    otherwise, also for a NaN entry)."""
     out = []
     for ev in events:
         if ev.kind == "gradient":
@@ -260,23 +257,23 @@ def _run(m: np.ndarray, segments: tuple) -> np.ndarray:
     return m
 
 
-def sequence_propagator(events: list, params: SpinSystemParams,
+def sequence_propagator(events, params: SpinSystemParams,
                         model: str = "instantaneous") -> np.ndarray:
-    """Net unitary of a gradient-free pulse program (time-ordered list), a
-    cached read-only array."""
-    segments = _segments(tuple(events), params, model)
+    """Net unitary of a gradient-free pulse program (time-ordered events),
+    a checked read-only array, folded anew on each call."""
+    segments = _segments(events, params, model)
     if any(u is None for u in segments):
         raise ValueError("gradient events have no unitary propagator")
     return segments[0] if segments else _frozen(IDENTITY_4.copy())
 
 
-def apply_sequence(rho: DensityMatrix, events: list, params: SpinSystemParams,
+def apply_sequence(rho: DensityMatrix, events, params: SpinSystemParams,
                    model: str = "instantaneous") -> DensityMatrix:
     """Run a pulse program on rho: each folded gradient-free segment is
     applied once and each gradient dephases (``_run``), with one state check
     of the result.  A unitary or dephasing map of a state is a state, and
-    each segment's unitarity is checked when its cache entry is built."""
-    return DensityMatrix(_run(rho.matrix, _segments(tuple(events), params, model)))
+    ``_segments`` checks each segment's unitarity."""
+    return DensityMatrix(_run(rho.matrix, _segments(events, params, model)))
 
 
 def propagator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -289,40 +286,26 @@ def propagator_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 
 _PX, _PY, _PMX, _PMY = 0.0, np.pi / 2, np.pi, -np.pi / 2
 
+# Composite pi/2 z rotation on each channel, (pi/2)_-y (pi/2)_x (pi/2)_y
+# read as an operator product (rightmost pulse first), realizing R_z(+pi/2).
+Z_ROTATION_EVENTS = {
+    channel: (rf(channel, np.pi / 2, _PY), rf(channel, np.pi / 2, _PX), rf(channel, np.pi / 2, _PMY))
+    for channel in ("H", "C")
+}
 
-def z_rotation_events(channel: str) -> list:
-    """Composite pi/2 z rotation, (pi/2)_-y (pi/2)_x (pi/2)_y read as an
-    operator product (rightmost pulse first), realizing R_z(+pi/2)."""
-    return [rf(channel, np.pi / 2, _PY), rf(channel, np.pi / 2, _PX), rf(channel, np.pi / 2, _PMY)]
-
-
-def cnot_events() -> list:
-    """Composite CNOT (a control): C pulses around a 3/2J evolution, then the
-    z-rotation block on H."""
-    return [
-        rf("C", np.pi / 2, _PY),
-        delay(1.5),
-        rf("C", np.pi / 2, _PMX),
-        rf("C", np.pi / 2, _PMY),
-        rf("C", np.pi / 2, _PMX),
-        rf("C", np.pi / 2, _PY),
-        rf("H", np.pi / 2, _PMY),
-        rf("H", np.pi / 2, _PX),
-        rf("H", np.pi / 2, _PY),
-    ]
-
-
-@functools.lru_cache(maxsize=64)
-def _checked_cnot(params: SpinSystemParams, model: str) -> np.ndarray:
-    """The composite CNOT propagator once it has passed its fidelity check.
-    A failed check raises, and lru_cache keeps no exception, so a bad
-    calibration fails on every call."""
-    u = sequence_propagator(cnot_events(), params, model)
-    threshold = 1 - 1e-6 if model == "instantaneous" else 0.999
-    fid = propagator_fidelity(u, CNOT)
-    if fid < threshold:
-        raise SequenceMismatch(f"composite CNOT fidelity {fid} below {threshold}")
-    return u
+# Composite CNOT (a control): C pulses around a 3/2J evolution, then the
+# z-rotation block on H.
+CNOT_EVENTS = (
+    rf("C", np.pi / 2, _PY),
+    delay(1.5),
+    rf("C", np.pi / 2, _PMX),
+    rf("C", np.pi / 2, _PMY),
+    rf("C", np.pi / 2, _PMX),
+    rf("C", np.pi / 2, _PY),
+    rf("H", np.pi / 2, _PMY),
+    rf("H", np.pi / 2, _PX),
+    rf("H", np.pi / 2, _PY),
+)
 
 
 # --- relaxation ---------------------------------------------------------------
@@ -384,10 +367,9 @@ def thermal_deviation(params: SpinSystemParams) -> np.ndarray:
     return (on_a(SIGMA_Z) + on_b(SIGMA_Z) / params.gamma_ratio) / 2.0
 
 
-@functools.lru_cache(maxsize=64)
 def thermal_equilibrium_state(params: SpinSystemParams) -> DensityMatrix:
-    """I/4 + epsilon * thermal_deviation, a constant of ``params`` (the
-    DensityMatrix is immutable, so every caller can share it)."""
+    """I/4 + epsilon * thermal_deviation, composed and checked on each call;
+    raises NotAState if epsilon is too large for it."""
     return compose_deviation(DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon))
 
 
@@ -425,10 +407,11 @@ def ideal_deviation(kind: str, params: SpinSystemParams) -> np.ndarray:
     raise UnknownKind(f"unknown state kind {kind!r}")
 
 
-# The preparation programs, built once (see pseudo_pure_11_events and
-# pseudo_epr_events), and the program of each kind with a pulse-level
-# preparation.
-_PSEUDO_PURE_11 = (
+# Spatial-averaging preparation of the |11> pseudo-pure state: composite
+# 5pi/12 tip on H, J evolution split into two 1/4J delays, a composite -pi/12
+# y tip, a crusher gradient, then pi flips on both spins to move the
+# pseudo-pure population from |00> to |11>.
+PSEUDO_PURE_11_EVENTS = (
     rf("H", np.pi / 4, _PX),
     rf("H", np.pi / 6, _PX),
     delay(0.25),
@@ -439,24 +422,14 @@ _PSEUDO_PURE_11 = (
     rf("H", np.pi, _PX),
     rf("C", np.pi, _PX),
 )
-_PSEUDO_EPR = (rf("H", np.pi / 2, _PMY), *cnot_events())
-_PREPARATIONS = {"pseudo_pure_11": _PSEUDO_PURE_11, "QC": _PSEUDO_PURE_11 + _PSEUDO_EPR}
 
+# Pseudo-EPR gate: a -y half-pulse on H followed by the composite CNOT,
+# carrying |11> onto the triplet Bell state (|01>+|10>)/sqrt(2).
+PSEUDO_EPR_EVENTS = (rf("H", np.pi / 2, _PMY), *CNOT_EVENTS)
 
-def pseudo_pure_11_events() -> list:
-    """Spatial-averaging preparation of the |11> pseudo-pure state.
-
-    Composite 5pi/12 tip on H, J evolution split into two 1/4J delays, a
-    composite -pi/12 y tip, a crusher gradient, then pi flips on both spins
-    to move the pseudo-pure population from |00> to |11>.
-    """
-    return list(_PSEUDO_PURE_11)
-
-
-def pseudo_epr_events() -> list:
-    """Pseudo-EPR gate: a -y half-pulse on H followed by the composite CNOT,
-    carrying |11> onto the triplet Bell state (|01>+|10>)/sqrt(2)."""
-    return list(_PSEUDO_EPR)
+# The program of each kind with a pulse-level preparation.
+_PREPARATIONS = {"pseudo_pure_11": PSEUDO_PURE_11_EVENTS,
+                 "QC": PSEUDO_PURE_11_EVENTS + PSEUDO_EPR_EVENTS}
 
 
 @functools.lru_cache(maxsize=64)
@@ -503,12 +476,18 @@ def pulse_step_unitaries(params: SpinSystemParams, model: str = "instantaneous")
     sequences, as a cached read-only (3, 4, 4) stack U_i = CNOT_composite .
     step_i: step 1 is the CNOT alone, step 2 the composite z rotations on H
     then C, step 3 a direct y rf pulse on both spins.  It raises
-    SequenceMismatch, on every call, when the composite CNOT fails its
-    fidelity check.  ``pulse_protocol_state`` applies one step;
-    ``pulse_step_observables`` is its readout table."""
-    u_cnot = _checked_cnot(params, model)
-    z_h = sequence_propagator(z_rotation_events("H"), params, model)
-    z_c = sequence_propagator(z_rotation_events("C"), params, model)
+    SequenceMismatch when the composite CNOT's fidelity to the ideal gate is
+    below 1 - 1e-6 (instantaneous pulses) or 0.999 (finite pulses); lru_cache
+    keeps no exception, so a bad calibration fails on every call.
+    ``pulse_protocol_state`` applies one step; ``pulse_step_observables`` is
+    its readout table."""
+    u_cnot = sequence_propagator(CNOT_EVENTS, params, model)
+    threshold = 1 - 1e-6 if model == "instantaneous" else 0.999
+    fid = propagator_fidelity(u_cnot, CNOT)
+    if fid < threshold:
+        raise SequenceMismatch(f"composite CNOT fidelity {fid} below {threshold}")
+    z_h = sequence_propagator(Z_ROTATION_EVENTS["H"], params, model)
+    z_c = sequence_propagator(Z_ROTATION_EVENTS["C"], params, model)
     y = sequence_propagator([rf("both", np.pi / 2, _PY)], params, model)
     return _frozen(np.array([u_cnot, u_cnot @ (z_c @ z_h), u_cnot @ y]))
 

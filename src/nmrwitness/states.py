@@ -85,35 +85,43 @@ def _as_stack(m: np.ndarray, error: type, name: str) -> np.ndarray:
     return m
 
 
+# The one numpy error state of a passing validation (about 1 us to enter):
+# without it, nan, inf or huge entries print RuntimeWarnings before the
+# per-condition checks reject them.
 @np.errstate(invalid="ignore", over="ignore")
-def _within_tolerances(m: np.ndarray, target: np.ndarray) -> bool:
+def _within_tolerances(m: np.ndarray, target: np.ndarray, certify: bool = False) -> tuple:
     """The fused pass: one matmul reads every Hermiticity residual and the
     trace of each member of the stack, and one reduction bounds them all.
-    True means the per-condition checks pass.  A nan or inf entry makes the
-    reads nan or inf, so it fails here, as does an empty stack; it fails
-    quietly, and the per-condition checks then report it."""
+    Returns (within, certified): ``within`` True means the per-condition
+    checks pass; ``certified`` is ``_positivity_certified`` if ``certify``
+    (meaningful once the stack is known finite and Hermitian), else False.
+    An empty stack fails both."""
     if not m.size:
-        return False
+        return False, False
     reads = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape[:-2], 32) @ _CHECK_COLUMNS
-    return bool(np.maximum.reduce(np.abs(reads - target), axis=None) <= _LINEAR_TOL)
+    within = bool(np.maximum.reduce(np.abs(reads - target), axis=None) <= _LINEAR_TOL)
+    return within, certify and _positivity_certified(m)
 
 
 def _positivity_certified(m: np.ndarray) -> bool:
     """Whether the Gershgorin bound min_i (2 Re m_ii - sum_j |m_ij|), taken
     over every member of a finite, Hermitian stack, proves it positive
-    semidefinite to PSD_TOL (see _CERTIFICATE_BOUND)."""
+    semidefinite to PSD_TOL (see _CERTIFICATE_BOUND).  Huge entries
+    overflow the bound, which then fails."""
     bound = 2.0 * m.diagonal(0, -2, -1).real - np.abs(m) @ _ONES
     return m.size > 0 and np.minimum.reduce(bound, axis=None) >= _CERTIFICATE_BOUND
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _hermitian_checks(m: np.ndarray, error: type, name: str) -> np.ndarray:
     """Per-condition checks shared by both validators, run only when the
     fused pass fails: every member finite, then every member Hermitian.
-    Returns the traces."""
+    Returns the traces, which huge entries can overflow to inf or nan; every
+    comparison with a tolerance fails on nan."""
     if (k := _first_bad(~np.isfinite(m).all(axis=(-2, -1)))) is not None:
         raise error(f"{name} has non-finite entries" + _where(k))
     herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    if (k := _first_bad(herm > HERMITICITY_TOL)) is not None:
+    if (k := _first_bad(~(herm <= HERMITICITY_TOL))) is not None:
         raise error(f"{name} is not Hermitian" + _where(k))
     return np.trace(m, axis1=-2, axis2=-1)
 
@@ -128,14 +136,15 @@ def validate_states(m: np.ndarray) -> np.ndarray:
     positivity of a near-diagonal state (such as I/4 + epsilon * delta)
     without an eigendecomposition, and eigvalsh runs only where it fails."""
     m = _as_stack(m, NotAState, "matrix")
-    if not _within_tolerances(m, _UNIT_TRACE):
+    within, certified = _within_tolerances(m, _UNIT_TRACE, certify=True)
+    if not within:
         tr = _hermitian_checks(m, NotAState, "matrix")
-        if (k := _first_bad((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL))) is not None:
+        if (k := _first_bad(~((np.abs(tr.real - 1.0) <= TRACE_TOL) & (np.abs(tr.imag) <= TRACE_TOL)))) is not None:
             raise NotAState(f"trace is {tr[k]}, expected 1" + _where(k))
-    if _positivity_certified(m):
+    if certified:
         return m
     low = np.linalg.eigvalsh(m).min(axis=-1)
-    if (k := _first_bad(low < PSD_TOL)) is not None:
+    if (k := _first_bad(~(low >= PSD_TOL))) is not None:
         raise NotAState(f"negative eigenvalue {low[k]:.3e}" + _where(k))
     return m
 
@@ -148,9 +157,9 @@ def validate_deviations(d: np.ndarray, epsilon: float) -> np.ndarray:
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     d = _as_stack(d, ValueError, "deviation matrix")
-    if not _within_tolerances(d, 0.0):
+    if not _within_tolerances(d, 0.0)[0]:
         tr = _hermitian_checks(d, ValueError, "deviation matrix")
-        if (k := _first_bad(np.abs(tr) > TRACE_TOL)) is not None:
+        if (k := _first_bad(~(np.abs(tr) <= TRACE_TOL))) is not None:
             raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
     return d
 
@@ -279,7 +288,9 @@ def from_bloch(spec: BlochSpec) -> DensityMatrix:
     """
     r = np.diag(np.concatenate(([1.0], spec.c)))
     r[1:, 0], r[0, 1:] = spec.a, spec.b
-    return DensityMatrix(from_pauli_table(r))
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = from_pauli_table(r)    # huge coefficients overflow, quietly: the check rejects them
+    return DensityMatrix(m)
 
 
 def bloch_decompose(rho: DensityMatrix) -> tuple[BlochSpec, np.ndarray]:

@@ -324,7 +324,7 @@ def _hermitian_stack(m, error: type, name: str, herm_tol: float):
     if (k := _first_bad(~np.isfinite(m).all(axis=(-2, -1)))) is not None:
         raise error(f"{name} has non-finite entries" + _where(k))
     herm = np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    if (k := _first_bad(herm > herm_tol)) is not None:
+    if (k := _first_bad(~(herm <= herm_tol))) is not None:
         raise error(f"{name} is not Hermitian" + _where(k))
     return m, np.trace(m, axis1=-2, axis2=-1)
 
@@ -332,10 +332,10 @@ def _hermitian_stack(m, error: type, name: str, herm_tol: float):
 def validate_states_reference(m, error: type, herm_tol: float, trace_tol: float,
                               psd_tol: float) -> np.ndarray:
     m, tr = _hermitian_stack(m, error, "matrix", herm_tol)
-    if (k := _first_bad((np.abs(tr.real - 1.0) > trace_tol) | (np.abs(tr.imag) > trace_tol))) is not None:
+    if (k := _first_bad(~((np.abs(tr.real - 1.0) <= trace_tol) & (np.abs(tr.imag) <= trace_tol)))) is not None:
         raise error(f"trace is {tr[k]}, expected 1" + _where(k))
     low = np.linalg.eigvalsh(m).min(axis=-1)
-    if (k := _first_bad(low < psd_tol)) is not None:
+    if (k := _first_bad(~(low >= psd_tol))) is not None:
         raise error(f"negative eigenvalue {low[k]:.3e}" + _where(k))
     return m
 
@@ -345,6 +345,6 @@ def validate_deviations_reference(d, epsilon: float, herm_tol: float,
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     d, tr = _hermitian_stack(d, ValueError, "deviation matrix", herm_tol)
-    if (k := _first_bad(np.abs(tr) > trace_tol)) is not None:
+    if (k := _first_bad(~(np.abs(tr) <= trace_tol))) is not None:
         raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
     return d

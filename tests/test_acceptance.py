@@ -26,14 +26,14 @@ from nmrwitness.circuit import CNOT, rotation
 from nmrwitness.cli import main
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
 from nmrwitness.nmr import (
+    CNOT_EVENTS,
+    Z_ROTATION_EVENTS,
     SpinSystemParams,
     apply_sequence,
-    cnot_events,
     gradient,
     propagator_fidelity,
     sequence_propagator,
     thermal_equilibrium_state,
-    z_rotation_events,
 )
 from nmrwitness.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, pauli_pair
 
@@ -147,14 +147,14 @@ def test_criterion_5_expansion_convergence():
 
 def test_criterion_6_pulse_fidelity():
     ideal_z = on_a(rotation("z", np.pi / 2))
-    fid_cnot = propagator_fidelity(sequence_propagator(cnot_events(), PARAMS), CNOT)
-    fid_z = propagator_fidelity(sequence_propagator(z_rotation_events("H"), PARAMS), ideal_z)
+    fid_cnot = propagator_fidelity(sequence_propagator(CNOT_EVENTS, PARAMS), CNOT)
+    fid_z = propagator_fidelity(sequence_propagator(Z_ROTATION_EVENTS["H"], PARAMS), ideal_z)
     assert fid_cnot >= 1 - 1e-6
     assert fid_z >= 1 - 1e-6
     fid_cnot_fin = propagator_fidelity(
-        sequence_propagator(cnot_events(), PARAMS, "finite"), CNOT)
+        sequence_propagator(CNOT_EVENTS, PARAMS, "finite"), CNOT)
     fid_z_fin = propagator_fidelity(
-        sequence_propagator(z_rotation_events("H"), PARAMS, "finite"), ideal_z)
+        sequence_propagator(Z_ROTATION_EVENTS["H"], PARAMS, "finite"), ideal_z)
     assert fid_cnot_fin >= 0.999
     assert fid_z_fin >= 0.999
     print(f"\nACCEPTANCE 6 PASS: composite fidelities CNOT {fid_cnot:.9f} "

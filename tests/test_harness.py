@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,7 @@ class TestCli:
         ({"n_step": 3}, "n_step"),
         ({"params": {"t2_h": 0.1}}, "t2_h"),
         ({"optimizer": {"maxiter": 1}}, "optimizer"),
+        ({"params": {"offset_h": 0.0}}, "offset_h"),
     ])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -386,6 +388,25 @@ class TestCli:
         self._one_line_exit_2(capsys, [command, str(path)], f"key {key!r} must be")
         with pytest.raises(BadDocument, match=f"key {key!r} must be"):
             state_from_json(doc)
+
+    @pytest.mark.parametrize("command", ["custom", "validate"])
+    @pytest.mark.parametrize("doc, message", [
+        # the trace overflows to nan
+        ({"epsilon": 1e-5, "delta_re": np.diag([1e308, 1e308, -1e308, -1e308]).tolist(),
+          "delta_im": np.zeros((4, 4)).tolist()}, "deviation matrix has trace"),
+        # the Hermiticity residual overflows
+        ({"epsilon": 1e-5, "delta_re": [[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0] * 4, [0] * 4],
+          "delta_im": np.zeros((4, 4)).tolist()}, "deviation matrix is not Hermitian"),
+        # the composed matrix overflows
+        ({"bloch": {"a": [1e308, 0, 0], "b": [0, 0, 0], "c": [1e308, 1e308, 1e308]}}, "non-finite"),
+    ])
+    def test_huge_state_entries_exit_2_without_warnings(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._one_line_exit_2(capsys, [command, str(path)], message)
+        assert caught == []
 
     @pytest.mark.parametrize("doc, key", [
         ({"state_kinds": 5}, "state_kinds"),

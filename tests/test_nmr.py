@@ -35,11 +35,14 @@ from nmrwitness.errors import (
     UnknownKind,
 )
 from nmrwitness.nmr import (
+    CNOT_EVENTS,
     PP_CALIBRATION,
+    PSEUDO_EPR_EVENTS,
+    PSEUDO_PURE_11_EVENTS,
+    Z_ROTATION_EVENTS,
     PulseEvent,
     SpinSystemParams,
     apply_sequence,
-    cnot_events,
     delay,
     dynamics_sweep,
     free_evolution_propagator,
@@ -47,8 +50,6 @@ from nmrwitness.nmr import (
     ideal_deviation,
     prepare_deviation,
     propagator_fidelity,
-    pseudo_epr_events,
-    pseudo_pure_11_events,
     pulse_protocol_state,
     pulse_step_observables,
     pulse_step_unitaries,
@@ -58,7 +59,6 @@ from nmrwitness.nmr import (
     sequence_propagator,
     thermal_deviation,
     thermal_equilibrium_state,
-    z_rotation_events,
 )
 from nmrwitness.circuit import CNOT
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
@@ -90,16 +90,15 @@ class TestParams:
         with pytest.raises(BadConfig, match=rf"^config params\.{field} must be"):
             SpinSystemParams(**{field: value})
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SpinSystemParams)
-                                       if not f.name.startswith("offset_")])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SpinSystemParams)])
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_checks_the_range_of_each_field(self, field, value):
         with pytest.raises(BadConfig, match=rf"^config params\.{field} must be a positive"):
             SpinSystemParams(**{field: value})
 
-    def test_accepts_integers_and_negative_offsets(self):
-        params = SpinSystemParams(j_coupling=215, t1_h=3, offset_h=-120)
-        assert (params.j_coupling, params.t1_h, params.offset_h) == (215, 3, -120)
+    def test_accepts_integers(self):
+        params = SpinSystemParams(j_coupling=215, t1_h=3)
+        assert (params.j_coupling, params.t1_h) == (215, 3)
 
 
 class TestPulseEvent:
@@ -188,11 +187,9 @@ class TestFreeEvolution:
         with pytest.raises(ValueError, match="nonnegative"):
             apply_sequence(triplet(), [delay(-1.0)], PARAMS)
 
-    def test_off_resonance_knob(self):
-        params = SpinSystemParams(offset_h=120.0, offset_c=-35.0)
-        h = (2 * np.pi * params.j_coupling * np.kron(SIGMA_Z, SIGMA_Z) / 4
-             - 2 * np.pi * params.offset_h * on_a(SIGMA_Z) / 2
-             - 2 * np.pi * params.offset_c * on_b(SIGMA_Z) / 2)
+    def test_on_resonance_drift_is_the_j_coupling(self):
+        params = SpinSystemParams(j_coupling=123.4)
+        h = 2 * np.pi * params.j_coupling * np.kron(SIGMA_Z, SIGMA_Z) / 4
         for tau in (1e-3, 0.01):
             assert np.allclose(free_evolution_propagator(tau, params),
                                expm(-1j * h * tau), atol=1e-12)
@@ -228,39 +225,39 @@ class TestRfPulse:
 class TestCompositeGates:
     def test_z_rotation_fixes_z_eigenstate(self):
         rho = DensityMatrix(np.kron(ket_projector(1, 0), IDENTITY_2 / 2))
-        out = apply_sequence(rho, z_rotation_events("H"), PARAMS)
+        out = apply_sequence(rho, Z_ROTATION_EVENTS["H"], PARAMS)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_z_rotation_conjugates_x_to_y(self):
-        u = sequence_propagator(z_rotation_events("H"), PARAMS)
+        u = sequence_propagator(Z_ROTATION_EVENTS["H"], PARAMS)
         lhs = u @ on_a(SIGMA_X) @ u.conj().T
         assert np.allclose(lhs, on_a(SIGMA_Y), atol=1e-12)
 
     def test_z_rotation_matches_ideal_gate(self):
         ideal = on_a(rotation("z", np.pi / 2))
-        u = sequence_propagator(z_rotation_events("H"), PARAMS)
+        u = sequence_propagator(Z_ROTATION_EVENTS["H"], PARAMS)
         assert propagator_fidelity(u, ideal) >= 1 - 1e-9
-        u_fin = sequence_propagator(z_rotation_events("H"), PARAMS, "finite")
+        u_fin = sequence_propagator(Z_ROTATION_EVENTS["H"], PARAMS, "finite")
         assert propagator_fidelity(u_fin, ideal) >= 0.999
 
     def test_z_rotation_on_both_channels_reproduces_yy_readout(self):
         rho = from_bloch(BlochSpec(c=np.array([0.2, -0.7, 0.4])))
-        xi = apply_sequence(rho, z_rotation_events("H") + z_rotation_events("C") + cnot_events(), PARAMS)
+        xi = apply_sequence(rho, Z_ROTATION_EVENTS["H"] + Z_ROTATION_EVENTS["C"] + CNOT_EVENTS, PARAMS)
         assert abs(readout_sigma_x_a(xi) - rho.expectation(pauli_pair(2))) < 1e-10
 
     def test_cnot_flips_target(self):
         rho = DensityMatrix(ket_projector(0, 0, 1, 0))
-        out = apply_sequence(rho, cnot_events(), PARAMS)
+        out = apply_sequence(rho, CNOT_EVENTS, PARAMS)
         assert np.allclose(out.matrix, ket_projector(0, 0, 0, 1), atol=1e-10)
 
     def test_cnot_propagator_fidelity(self):
-        u = sequence_propagator(cnot_events(), PARAMS)
+        u = sequence_propagator(CNOT_EVENTS, PARAMS)
         assert propagator_fidelity(u, CNOT) >= 1 - 1e-6
-        u_fin = sequence_propagator(cnot_events(), PARAMS, "finite")
+        u_fin = sequence_propagator(CNOT_EVENTS, PARAMS, "finite")
         assert propagator_fidelity(u_fin, CNOT) >= 0.999
 
     def test_cnot_twice_is_identity_up_to_phase(self):
-        u = sequence_propagator(cnot_events(), PARAMS)
+        u = sequence_propagator(CNOT_EVENTS, PARAMS)
         assert propagator_fidelity(u @ u, IDENTITY_4) >= 1 - 1e-9
 
     def test_sequence_mismatch_on_bad_calibration(self):
@@ -274,7 +271,7 @@ class TestCachedPropagators:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_folded_sequence_matches_per_pulse_application(self, model):
-        events = pseudo_pure_11_events() + pseudo_epr_events()
+        events = PSEUDO_PURE_11_EVENTS + PSEUDO_EPR_EVENTS
         m = thermal_equilibrium_state(PARAMS).matrix
         for ev in events:
             if ev.kind == "gradient":
@@ -290,18 +287,20 @@ class TestCachedPropagators:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_cached_propagators_are_read_only(self, model):
-        for u in (sequence_propagator(cnot_events(), PARAMS, model),
-                  sequence_propagator(z_rotation_events("C"), PARAMS, model),
+        for u in (sequence_propagator(CNOT_EVENTS, PARAMS, model),
+                  sequence_propagator(Z_ROTATION_EVENTS["C"], PARAMS, model),
                   pulse_step_unitaries(PARAMS, model), pulse_step_observables(PARAMS, model)):
             with pytest.raises(ValueError):
                 u[..., 0, 0] = 0.0
-        # a repeated call returns the same cached array
-        assert sequence_propagator(cnot_events(), PARAMS, model) is sequence_propagator(
-            cnot_events(), PARAMS, model)
+        # a repeated call returns the same cached product
+        assert pulse_step_unitaries(PARAMS, model) is pulse_step_unitaries(PARAMS, model)
+        assert pulse_step_observables(PARAMS, model) is pulse_step_observables(PARAMS, model)
+        dev = prepare_deviation("QC", PARAMS, level="pulse", model=model)
+        assert prepare_deviation("QC", PARAMS, level="pulse", model=model) is dev
 
     def test_sequence_propagator_rejects_gradient(self):
         with pytest.raises(ValueError, match="gradient"):
-            sequence_propagator(pseudo_pure_11_events(), PARAMS)
+            sequence_propagator(PSEUDO_PURE_11_EVENTS, PARAMS)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_pulse_step_unitaries_are_unitary(self, model):
@@ -336,14 +335,10 @@ class TestCachedPropagators:
             return free_evolution_propagator(tau, params) * (1 + 1e-9)
 
         monkeypatch.setattr(nmr, "free_evolution_propagator", scaled)
-        nmr._segments.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="not unitary"):
-                sequence_propagator(cnot_events(), PARAMS)
-            with pytest.raises(ValueError, match="not unitary"):
-                apply_sequence(thermal_equilibrium_state(PARAMS), pseudo_pure_11_events(), PARAMS)
-        finally:
-            nmr._segments.cache_clear()
+        with pytest.raises(ValueError, match="not unitary"):
+            sequence_propagator(CNOT_EVENTS, PARAMS)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_sequence(thermal_equilibrium_state(PARAMS), PSEUDO_PURE_11_EVENTS, PARAMS)
 
     def test_non_finite_segment_raises_when_the_cache_fills(self, monkeypatch):
         import nmrwitness.nmr as nmr
@@ -352,12 +347,8 @@ class TestCachedPropagators:
             return np.full((4, 4), np.nan + 0j)
 
         monkeypatch.setattr(nmr, "free_evolution_propagator", nan_propagator)
-        nmr._segments.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="pulse program segment is not unitary"):
-                sequence_propagator([delay(0.5)], PARAMS)
-        finally:
-            nmr._segments.cache_clear()
+        with pytest.raises(ValueError, match="pulse program segment is not unitary"):
+            sequence_propagator([delay(0.5)], PARAMS)
 
     def test_instantaneous_model_needs_no_expm(self, monkeypatch):
         import nmrwitness.nmr as nmr
@@ -366,8 +357,7 @@ class TestCachedPropagators:
             raise AssertionError("expm called by the instantaneous model")
 
         monkeypatch.setattr(nmr, "expm", no_expm)
-        for cached in (nmr._segments, nmr._checked_cnot, nmr.pulse_step_unitaries,
-                       nmr.pulse_step_observables, nmr._pulse_deviation):
+        for cached in (nmr.pulse_step_unitaries, nmr.pulse_step_observables, nmr._pulse_deviation):
             cached.cache_clear()
         prepare_state("QC", PARAMS, level="pulse")
         pulse_step_observables(PARAMS)
@@ -506,7 +496,7 @@ class TestPrepareState:
     @pytest.mark.parametrize("kind", ["QC", "pseudo_pure_11"])
     def test_pulse_level_matches_extended_precision(self, kind, model):
         pytest.importorskip("mpmath")
-        events = pseudo_pure_11_events() + (pseudo_epr_events() if kind == "QC" else [])
+        events = PSEUDO_PURE_11_EVENTS + (PSEUDO_EPR_EVENTS if kind == "QC" else ())
         steps = [None if ev.kind == "gradient"
                  else rf_propagator(ev, PARAMS, model) if ev.kind == "rf"
                  else free_evolution_propagator(ev.j_units / PARAMS.j_coupling, PARAMS)
@@ -551,11 +541,11 @@ class TestPrepareState:
             prepare_state("GHZ", PARAMS)
 
     def test_pp_sequence_inventory(self):
-        kinds = {(ev.kind, getattr(ev, "channel", None)) for ev in pseudo_pure_11_events()}
-        angles = {ev.angle for ev in pseudo_pure_11_events() if ev.kind == "rf"}
-        assert ("gradient", None) in {(ev.kind, None) for ev in pseudo_pure_11_events()}
+        kinds = {(ev.kind, getattr(ev, "channel", None)) for ev in PSEUDO_PURE_11_EVENTS}
+        angles = {ev.angle for ev in PSEUDO_PURE_11_EVENTS if ev.kind == "rf"}
+        assert ("gradient", None) in {(ev.kind, None) for ev in PSEUDO_PURE_11_EVENTS}
         assert angles <= {np.pi / 6, np.pi / 4, np.pi / 2, np.pi}
-        j_units = [ev.j_units for ev in pseudo_pure_11_events() if ev.kind == "delay"]
+        j_units = [ev.j_units for ev in PSEUDO_PURE_11_EVENTS if ev.kind == "delay"]
         assert j_units == [0.25, 0.25]
 
 

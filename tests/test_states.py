@@ -53,6 +53,16 @@ class TestDensityMatrix:
         with pytest.raises(NotAState):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("diagonal, message", [
+        ([1e308, -1e308, 0.5, 0.5], "negative eigenvalue"),     # overflows the Gershgorin bound
+        ([1e308, 1e308, -1e308, -1e308], "trace is"),           # the trace overflows to nan
+    ])
+    def test_rejects_huge_entries_without_warnings(self, diagonal, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAState, match=message):
+                DensityMatrix(np.diag(diagonal).astype(complex))
+
     def test_matrix_is_immutable(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError):
@@ -209,6 +219,13 @@ class TestDeviation:
         with pytest.raises(ValueError):
             DeviationState(delta=np.eye(4))
 
+    def test_overflowing_trace_rejected_without_warnings(self):
+        # the trace of this delta overflows to nan, which must fail the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="deviation matrix has trace"):
+                DeviationState(delta=np.diag([1e308, 1e308, -1e308, -1e308]))
+
     def test_non_finite_rejected(self):
         delta = np.zeros((4, 4), dtype=complex)
         delta[0, 0] = np.nan
@@ -340,11 +357,15 @@ def _outcome(fn, *args):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+# The reference copies run quiet: the validators print no numpy warning
+# when huge entries overflow their reductions.
+@np.errstate(invalid="ignore", over="ignore")
 def _reference_states(m):
     return oracles.validate_states_reference(m, NotAState, states.HERMITICITY_TOL,
                                              states.TRACE_TOL, states.PSD_TOL)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def _reference_deviations(d, epsilon):
     return oracles.validate_deviations_reference(d, epsilon, states.HERMITICITY_TOL,
                                                  states.TRACE_TOL)
@@ -354,11 +375,15 @@ def _reference_deviations(d, epsilon):
 # tolerance, between the fused pass's margin and the tolerance itself.
 STATE_FAULTS = ("non_hermitian", "trace", "negative_eigenvalue", "nan", "inf",
                 "gap_0.6", "gap_1.1", "trace_0.6", "trace_1.1", "imag_trace",
-                "eig_at_psd_tol")
+                "eig_at_psd_tol", "huge")
 DEVIATION_FAULTS = ("non_hermitian", "trace", "nan", "inf", "gap_0.6", "gap_1.1",
-                    "trace_0.6", "trace_1.1", "imag_trace")
+                    "trace_0.6", "trace_1.1", "imag_trace", "huge")
 
 
+# The tests apply "huge" faults last (eigh cannot build a fault on a matrix
+# that holds them); a second one on the same matrix may overflow to inf, which
+# is a fault all the same.
+@np.errstate(over="ignore", invalid="ignore")
 def _fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarray:
     m = np.array(m, dtype=complex)
     if fault in ("non_hermitian", "trace", "negative_eigenvalue", "nan"):
@@ -371,6 +396,17 @@ def _fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarray:
         m += float(fault[6:]) * states.TRACE_TOL / 4 * np.eye(4)
     elif fault == "imag_trace":
         m[2, 2] += 1.5j * states.TRACE_TOL
+    elif fault == "huge":
+        # finite entries near the float limit whose sums overflow: a Hermitian
+        # or an anti-Hermitian off-diagonal pair, or one sign added to the
+        # whole diagonal.  (A mixed-sign diagonal is left out: its trace is
+        # inf, nan or zero depending on the order of summation.)
+        big = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(307.7, 308.2)
+        i, j = rng.choice(4, 2, replace=False)
+        if rng.integers(3):
+            m[i, j], m[j, i] = big, big * rng.choice([-1.0, 1.0])
+        else:
+            m += big * np.eye(4)
     elif fault == "eig_at_psd_tol":
         evals, vecs = np.linalg.eigh(m)
         evals[0] = states.PSD_TOL + rng.uniform(-1e-11, 1e-11)
@@ -412,7 +448,7 @@ class TestFusedValidators:
         rng = np.random.default_rng(seed)
         m = _base_states(rng, shape, family)
         members = list(np.ndindex(*shape))
-        for k, fault in faults:
+        for k, fault in sorted(faults, key=lambda kf: kf[1] == "huge"):
             member = members[k % len(members)]
             m[member] = _fault(m[member], fault, rng)
         want = _outcome(_reference_states, m)
@@ -430,7 +466,7 @@ class TestFusedValidators:
         for k in np.ndindex(*shape):
             d[k] = random_traceless_hermitian(rng)
         members = list(np.ndindex(*shape))
-        for k, fault in faults:
+        for k, fault in sorted(faults, key=lambda kf: kf[1] == "huge"):
             member = members[k % len(members)]
             d[member] = _fault(d[member], fault, rng)
         assert _outcome(validate_deviations, d, epsilon) == _outcome(_reference_deviations, d, epsilon)
