@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from nmrwitness import dynamics_sweep, prepare_deviation
+from nmrwitness.harness import CLASSICALITY_BOUND, DECAY_FRACTION
 from nmrwitness.nmr import SpinSystemParams
 
 
@@ -26,14 +27,15 @@ def main():
     args = parser.parse_args()
 
     base = SpinSystemParams()
-    lines = ["t2s_h,t2s_c,first_t_witness_below_0.05,first_t_quantum_below_1pct"]
+    lines = [f"t2s_h,t2s_c,first_t_witness_below_{CLASSICALITY_BOUND:g},"
+             "first_t_quantum_below_1pct"]
     for sh in args.scales:
         for sc in args.scales:
             params = replace(base, t2s_h=base.t2s_h * sh, t2s_c=base.t2s_c * sc)
             series = dynamics_sweep(prepare_deviation("QC", params), args.dt,
                                     args.steps, params)
-            t_w = series.first_time_below("witness_values", 0.05)
-            t_q = series.first_time_below("quantum", 0.01 * series.quantum[0])
+            t_w = series.first_time_below("witness_values", CLASSICALITY_BOUND)
+            t_q = series.first_time_below("quantum", DECAY_FRACTION * series.quantum[0])
             lines.append(f"{params.t2s_h:.4g},{params.t2s_c:.4g},"
                          f"{t_w if t_w is not None else ''},"
                          f"{t_q if t_q is not None else ''}")

@@ -54,10 +54,8 @@ from .nmr import (
     SpinSystemParams,
     dynamics_sweep,
     ideal_deviation,
-    load_pulse_sequence,
     prepare_deviation,
     prepare_state,
-    pulse_sequence_to_json,
     relax,
     thermal_equilibrium_state,
 )

@@ -212,27 +212,6 @@ class WitnessReport:
         }
 
 
-def witness_from_expectations(
-    o: np.ndarray,
-    mode: str,
-    normalization: str = "raw",
-    epsilon: float | None = None,
-    include_o4: bool = True,
-    seed: int | None = None,
-) -> WitnessReport:
-    """Form W from a measured (o1, o2, o3, o4) vector.
-
-    ``normalization='thermal'`` divides every expectation by the thermal
-    hydrogen magnetization 2*epsilon (positive and finite) before forming
-    the products, matching spectra normalized against the equilibrium
-    reference.  With ``include_o4=False`` the O_4 cross terms are dropped,
-    which is the three-measurement protocol actually run on Bell-diagonal
-    states (where <O_4> vanishes identically).
-    """
-    o, w = witness_sum(o, normalization, epsilon, include_o4)
-    return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
-
-
 def witness_sum(
     o: np.ndarray,
     normalization: str = "raw",
@@ -240,9 +219,8 @@ def witness_sum(
     include_o4: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized readouts and W = sum_{i<j} |o_i o_j| for one readout
-    vector (4,) or a stack of them (..., 4); see
-    ``witness_from_expectations`` for the options.  ValueError if a readout
-    is NaN or infinite.
+    vector (4,) or a stack of them (..., 4); see ``witness`` for the
+    options.  ValueError if a readout is NaN or infinite.
 
     Both paths add the terms left to right, pair by pair, as a loop over the
     pairs does, so they give the same bits: one vector with Python floats,
@@ -280,15 +258,27 @@ def witness(
     epsilon: float | None = None,
     include_o4: bool = True,
     seed: int | None = None,
+    table: np.ndarray = STEP_OBSERVABLES,
 ) -> WitnessReport:
-    """Evaluate the nonlinear witness W >= 0; W = 0 certifies classicality."""
+    """Evaluate the nonlinear witness W >= 0; W = 0 certifies classicality.
+
+    ``mode='circuit'`` reads <O_1>..<O_3> through ``run_protocol`` with the
+    readout ``table`` of a step stack (the ideal gates by default, or
+    ``nmr.pulse_step_observables``); ``mode='direct'`` reads the plain
+    expectations and ignores ``table``.
+
+    ``normalization='thermal'`` divides every expectation by the thermal
+    hydrogen magnetization 2*epsilon (positive and finite) before forming
+    the products, matching spectra normalized against the equilibrium
+    reference.  With ``include_o4=False`` the O_4 cross terms are dropped,
+    which is the three-measurement protocol actually run on Bell-diagonal
+    states (where <O_4> vanishes identically).
+    """
     if mode == "circuit":
-        o = run_protocol(state, dir).o
+        o = run_protocol(state, dir, table).o
     elif mode == "direct":
         o = _direct_expectations(state, dir)
     else:
         raise ValueError(f"mode must be 'circuit' or 'direct', got {mode!r}")
-    return witness_from_expectations(
-        o, mode=mode, normalization=normalization, epsilon=epsilon,
-        include_o4=include_o4, seed=seed,
-    )
+    o, w = witness_sum(o, normalization, epsilon, include_o4)
+    return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)

@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import (
-    STEP_OBSERVABLES,
-    run_protocol,
-    sample_direction,
-    witness,
-    witness_from_expectations,
-)
+from .circuit import STEP_OBSERVABLES, sample_direction, witness
 from .correlations import (
     discord_epsilon,
     mutual_information,
@@ -44,6 +38,9 @@ from .states import (
 
 CROSS_CHECK_TOL = 1e-8
 CLASSICALITY_BOUND = 0.05
+# A correlation quantifier counts as decayed below this fraction of its
+# t = 0 value (fig4's summary and scripts/relaxation_study.py).
+DECAY_FRACTION = 0.01
 
 # Preparation-noise knob: per-qubit random rotations with this angle spread
 # plus a weaker additive traceless perturbation.  Calibrated so the deviation
@@ -185,29 +182,32 @@ def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
     return None, parsed
 
 
-def _witness_with_cross_check(dev: DeviationState, config: ExperimentConfig,
-                              include_o4: bool = True):
-    """Best witness over the configured direction seeds, cross-checking the
-    circuit readouts against the direct expectations for every seed."""
-    eps = config.params.epsilon
-    table = pulse_step_observables(config.params) if config.pulse_level else STEP_OBSERVABLES
+def _witness_with_cross_check(state: DeviationState | DensityMatrix, seeds: tuple,
+                              table: np.ndarray, normalization: str,
+                              epsilon: float | None, include_o4: bool):
+    """(best circuit report, direct report of its seed, worst gap): the
+    witness over the direction ``seeds``, read in circuit mode with the
+    readout ``table`` and in direct mode, with the largest circuit vs
+    direct readout gap over all seeds; CrossCheckFailure when that gap
+    exceeds CROSS_CHECK_TOL."""
     best = None
     worst_gap = 0.0
-    for s in config.seeds():
+    for s in seeds:
         direction = sample_direction(s)
-        rep = witness_from_expectations(
-            run_protocol(dev, direction, table).o, mode="circuit",
-            normalization=config.normalization, epsilon=eps, include_o4=include_o4, seed=s)
-        direct = witness(dev, direction, mode="direct",
-                         normalization=config.normalization, epsilon=eps,
-                         include_o4=include_o4, seed=s)
-        worst_gap = max(worst_gap, float(np.max(np.abs(rep.o - direct.o))))
-        if best is None or rep.w > best.w:
-            best = rep
+        circuit, direct = (witness(state, direction, mode, normalization, epsilon, include_o4,
+                                   seed=s, table=table) for mode in ("circuit", "direct"))
+        worst_gap = max(worst_gap, float(np.max(np.abs(circuit.o - direct.o))))
+        if best is None or circuit.w > best[0].w:
+            best = circuit, direct
     if worst_gap > CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"circuit vs direct readout gap {worst_gap:.3e} exceeds {CROSS_CHECK_TOL}")
-    return best, worst_gap
+    return *best, worst_gap
+
+
+def _circuit_table(config: ExperimentConfig) -> np.ndarray:
+    """The readout table of the configured witness circuit."""
+    return pulse_step_observables(config.params) if config.pulse_level else STEP_OBSERVABLES
 
 
 def _write(files: dict, out_dir: str | None, name: str, text: str):
@@ -246,7 +246,8 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     cross_max = 0.0
     for kind in config.state_kinds:
         dev = _prepare(kind, config, noise_rng)
-        rep, gap = _witness_with_cross_check(dev, config)
+        rep, _, gap = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
+                                                config.normalization, config.params.epsilon, True)
         cross_max = max(cross_max, gap)
         corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
@@ -297,14 +298,16 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     noise_rng = np.random.default_rng(config.seed)
     files = {}
     dev = _prepare("QC", config, noise_rng)
-    _, cross_max = _witness_with_cross_check(dev, config, include_o4=False)
+    *_, cross_max = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
+                                              config.normalization, config.params.epsilon, False)
     series = dynamics_sweep(dev, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
         "first_t_witness_below_bound": series.first_time_below(
             "witness_values", CLASSICALITY_BOUND),
-        "first_t_quantum_below_1pct": series.first_time_below("quantum", 0.01 * q0),
-        "first_t_classical_below_1pct": series.first_time_below("classical", 0.01 * c0),
+        "first_t_quantum_below_1pct": series.first_time_below("quantum", DECAY_FRACTION * q0),
+        "first_t_classical_below_1pct": series.first_time_below("classical",
+                                                                 DECAY_FRACTION * c0),
         "classicality_bound": CLASSICALITY_BOUND,
     }
     rows = [
@@ -326,12 +329,8 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     dev, state = _read_state(state_doc)
     eps_corr = None if dev is None else discord_epsilon(dev).to_json()
 
-    direction = sample_direction(config.seed)
-    circuit_rep = witness(state, direction, mode="circuit", seed=config.seed)
-    direct_rep = witness(state, direction, mode="direct", seed=config.seed)
-    gap = float(np.max(np.abs(circuit_rep.o - direct_rep.o)))
-    if gap > CROSS_CHECK_TOL:
-        raise CrossCheckFailure(f"circuit vs direct gap {gap:.3e}")
+    circuit_rep, direct_rep, gap = _witness_with_cross_check(
+        state, (config.seed,), STEP_OBSERVABLES, "raw", None, True)
     exact = symmetric_discord(state)
     rows = [{
         "witness_circuit": circuit_rep.to_json(),
@@ -365,8 +364,7 @@ def run_experiment(config: ExperimentConfig, state_doc: dict | None = None) -> R
         return run_fig3(config)
     if config.experiment == "fig4":
         return run_fig4(config)
-    if config.experiment == "custom":
-        if state_doc is None:
-            raise ValueError("custom experiment needs a state document")
-        return run_custom(config, state_doc)
-    raise ValueError(f"unknown experiment {config.experiment!r}")
+    # custom, the one experiment left: ExperimentConfig rejects any other
+    if state_doc is None:
+        raise ValueError("custom experiment needs a state document")
+    return run_custom(config, state_doc)

@@ -44,7 +44,7 @@ from .circuit import (
     witness_sum,
 )
 from .correlations import epsilon_correlations
-from .errors import BadDocument, EpsilonMismatch, SequenceMismatch, UnknownKind, check_config, is_finite
+from .errors import EpsilonMismatch, SequenceMismatch, UnknownKind, check_config, is_finite
 from .pauli import (
     IDENTITY_2,
     IDENTITY_4,
@@ -59,8 +59,6 @@ from .pauli import (
 from .states import (
     DensityMatrix,
     DeviationState,
-    _fields,
-    _number,
     compose_deviation,
     extract_deviation,
     from_pauli_table,
@@ -106,7 +104,6 @@ class PulseEvent:
     channel: str = "H"                 # rf only: H | C | both
     angle: float = 0.0                 # rad, rf only
     phase: float = 0.0                 # rad, rf axis azimuth
-    duration: float | None = None      # s, rf only; default from calibration
     j_units: float = 0.0               # delay length in units of 1/J
 
     def __post_init__(self):
@@ -119,8 +116,6 @@ class PulseEvent:
                 raise ValueError(f"unknown channel {self.channel!r}")
             if not 0.0 < self.angle <= 2 * np.pi:
                 raise ValueError(f"rf angle must be in (0, 2pi], got {self.angle}")
-            if self.duration is not None and not 0 < self.duration < math.inf:
-                raise ValueError(f"rf duration must be positive and finite, got {self.duration}")
         if self.kind == "delay" and self.j_units < 0:
             raise ValueError("delay must be nonnegative")
 
@@ -194,8 +189,9 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
     """4x4 unitary for an rf pulse.
 
     The instantaneous model is the ideal rotation.  The finite model
-    integrates rf and J coupling together over the calibrated duration
-    (channels of a 'both' pulse are played back to back).
+    integrates rf and J coupling together over the calibrated duration,
+    the channel's pi/2 time scaled by angle / (pi/2) (channels of a 'both'
+    pulse are played back to back).
     """
     if event.kind != "rf":
         raise ValueError("not an rf event")
@@ -211,7 +207,7 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
 
     def one_channel(channel: str) -> np.ndarray:
         pi2 = params.pulse_pi2_h if channel == "H" else params.pulse_pi2_c
-        t_p = event.duration if event.duration is not None else pi2 * event.angle / (np.pi / 2)
+        t_p = pi2 * event.angle / (np.pi / 2)
         omega1 = event.angle / t_p
         h_rf = omega1 * bloch_vector_to_op(_rf_axis(event.phase)) / 2.0
         h_rf = on_a(h_rf) if channel == "H" else on_b(h_rf)
@@ -544,51 +540,3 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
         classical=iqc[:, 2],
         deviations=DeviationState.views(deltas, eps),
     )
-
-
-# --- pulse sequence wire format -------------------------------------------------
-
-
-def load_pulse_sequence(doc: list) -> list:
-    """Parse the JSON list form of a pulse program.  A malformed document
-    (not a list, an item not an object, a missing key, an unknown kind or a
-    non-number) raises BadDocument naming the item and the key; a value out
-    of range raises PulseEvent's ValueError."""
-    if not isinstance(doc, list):
-        raise BadDocument(f"pulse sequence must be a JSON list, got {type(doc).__name__}")
-    events = []
-    for k, item in enumerate(doc):
-        where = f"pulse sequence item {k}"
-        (kind,) = _fields(item, ("kind",), where)
-        if kind == "rf":
-            channel, angle = _fields(item, ("channel", "angle"), where)
-            events.append(PulseEvent(
-                kind="rf",
-                channel=channel,
-                angle=_number(angle, "angle", where),
-                phase=_number(item.get("phase", 0.0), "phase", where),
-                duration=_number(item["duration"], "duration", where) if "duration" in item else None,
-            ))
-        elif kind == "delay":
-            (j_units,) = _fields(item, ("j_units",), where)
-            events.append(delay(_number(j_units, "j_units", where)))
-        elif kind == "gradient":
-            events.append(gradient())
-        else:
-            raise BadDocument(f"{where} key 'kind' must be rf, delay or gradient, got {kind!r}")
-    return events
-
-
-def pulse_sequence_to_json(events: list) -> list:
-    doc = []
-    for ev in events:
-        if ev.kind == "rf":
-            entry = {"kind": "rf", "channel": ev.channel, "angle": ev.angle, "phase": ev.phase}
-            if ev.duration is not None:
-                entry["duration"] = ev.duration
-            doc.append(entry)
-        elif ev.kind == "delay":
-            doc.append({"kind": "delay", "j_units": ev.j_units})
-        else:
-            doc.append({"kind": "gradient"})
-    return doc

@@ -28,7 +28,6 @@ from nmrwitness.circuit import (
     STEP_UNITARIES,
     ProtocolReadout,
     _checked_unitary,
-    witness_from_expectations,
     witness_sum,
 )
 from nmrwitness.errors import BadIndex
@@ -203,6 +202,18 @@ class TestLinearReadout:
             got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, table).o
             assert np.max(np.abs(got - want)) <= 1e-15 * epsilon
 
+    @pytest.mark.parametrize("model", ["instantaneous", "finite"])
+    def test_witness_circuit_mode_reads_the_given_table(self, model, rng):
+        table = pulse_step_observables(SpinSystemParams(), model)
+        for k in range(10):
+            direction = sample_direction(k)
+            for state in (random_density_matrix(rng),
+                          DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)):
+                got = witness(state, direction, "circuit", table=table).o
+                assert got.tobytes() == run_protocol(state, direction, table).o.tobytes()
+                if model == "finite":    # off the ideal gates by about 1e-3
+                    assert not np.array_equal(got, witness(state, direction, "circuit").o)
+
     def test_readout_bounds_are_checked(self):
         assert ProtocolReadout(o=[1.0, -1.0, 0.5, 2.0]).o.tolist() == [1.0, -1.0, 0.5, 2.0]
         with pytest.raises(ValueError, match="exceeds its bound 1.0"):
@@ -335,8 +346,7 @@ class TestWitness:
     @pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf])
     def test_thermal_epsilon_must_be_positive_finite(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
-            witness_from_expectations([1e-5, 1e-5, -1e-5, 0.0], mode="direct",
-                                      normalization="thermal", epsilon=epsilon)
+            witness_sum([1e-5, 1e-5, -1e-5, 0.0], normalization="thermal", epsilon=epsilon)
 
     @staticmethod
     def _pair_loop(o: np.ndarray, include_o4: bool):
@@ -384,7 +394,7 @@ class TestWitness:
 
     def test_nan_is_not_a_witness(self):
         with pytest.raises(ValueError, match="readouts must be finite"):
-            witness_from_expectations([np.nan, 0.1, 0.2, 0.3], "circuit")
+            witness_sum([np.nan, 0.1, 0.2, 0.3])
 
     def test_report_json_fields(self):
         rep = witness(triplet(), sample_direction(4), seed=4)

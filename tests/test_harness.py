@@ -266,11 +266,27 @@ class TestCli:
         assert main(["custom", str(doc), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "custom.csv").exists()
 
-    def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command, fault", [
+        ("fig2", "tolerance"), ("fig4", "tolerance"), ("custom", "tolerance"), ("fig2", "table"),
+    ], ids=["fig2", "fig4", "custom", "fig2-wrong-table"])
+    def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch, capsys, command, fault):
         import nmrwitness.harness as harness
 
-        monkeypatch.setattr(harness, "CROSS_CHECK_TOL", -1.0)
-        assert main(["fig2"]) == 4
+        if fault == "tolerance":
+            monkeypatch.setattr(harness, "CROSS_CHECK_TOL", -1.0)
+        else:
+            # steps 2 and 3 read each other's correlation: QC's (1, 1, -1) reads (1, -1, 1)
+            monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES[:, [0, 2, 1]])
+        argv = [command]
+        if command == "custom":
+            doc = tmp_path / "state.json"
+            doc.write_text(json.dumps({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}))
+            argv.append(str(doc))
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert captured.out == "" and "\n" not in err and "Traceback" not in err
+        assert err.startswith("cross-check failure:")
 
     def test_optimizer_failure_exit_3(self, tmp_path, capsys, no_start_converges):
         # Only the exact discord searches, so exit 3 is reached through custom.
