@@ -7,7 +7,9 @@ I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxation stack
 at the fig4 time step.  The exact discord search runs on one seed-0 Ginibre
 state, the input of a ``custom`` item.  Each kernel runs once to fill the
 package's caches; its time is then the minimum, over REPEATS timeit repeats,
-of the mean time of one call, in microseconds:
+of the mean time of one call, in microseconds.  The last line is the time
+of ``import nmrwitness`` in a fresh interpreter, the median of IMPORT_LAUNCHES
+launches:
 
     python scripts/kernel_times.py
 
@@ -15,17 +17,23 @@ Uses the package in this checkout's src/.  Compare two outputs only when
 they come from the same machine: the host's speed enters every line.
 """
 
+import os
+import statistics
+import subprocess
 import sys
 import timeit
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
 from nmrwitness import circuit, correlations, harness, nmr, states  # noqa: E402
 
 REPEATS = 7
+IMPORT_LAUNCHES = 5
+IMPORT_SCRIPT = "import time; t = time.perf_counter(); import nmrwitness; print(time.perf_counter() - t)"
 SWEEP_STEPS = 12
 SWEEP_DT = 0.0557
 
@@ -67,6 +75,11 @@ def main() -> int:
         number, _ = timer.autorange()
         best = min(timer.repeat(REPEATS, number)) / number
         print(f"{name:<32s} {best * 1e6:9.2f} us")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    launches = [float(subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, check=True,
+                                     capture_output=True, text=True).stdout)
+                for _ in range(IMPORT_LAUNCHES)]
+    print(f"{'import nmrwitness (fresh)':<32s} {statistics.median(launches) * 1e6:9.2f} us")
     return 0
 
 

@@ -10,13 +10,13 @@ exact measurement optimization searches, all of it in ``symmetric_discord``: a
 grid over both qubits' Bloch directions, one hemisphere each (n and -n give
 the same projectors), followed by Nelder-Mead refinement from the best
 distinct grid bases; its settings are module constants and it is fully
-deterministic.
+deterministic.  That refinement is the package's one use of scipy, imported
+by ``minimize`` on its first call, so importing the package loads only numpy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import OptimizerFailure
 from .pauli import bloch_vector_to_op, direction
@@ -232,6 +232,12 @@ GRID_ANGLES = np.array([(0.0, 0.0)] + [
     (th, ph) for th in np.linspace(0.0, np.pi, GRID_POINTS)[1:] if th < np.pi / 2
     for ph in np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)])
 GRID_ANGLES.flags.writeable = False
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _canonical_angles(n: np.ndarray) -> tuple[float, float]:

@@ -23,7 +23,8 @@ on a DensityMatrix.  Three products are cached constants of (params,
 model), the ones that callers repeat: the pulse-level deviation of each
 prepared kind, the three pulse-level witness steps (with the checked
 composite CNOT) and their readout table.  Instantaneous pulses are
-closed-form SU(2) rotations; only the finite pulse model calls ``expm``.
+closed-form SU(2) rotations; only the finite pulse model exponentiates a
+Hermitian generator, by ``np.linalg.eigh`` (``_expi``).
 """
 
 import dataclasses
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circuit import (
     CNOT,
@@ -185,13 +185,20 @@ def _rf_axis(phase: float) -> tuple:
     return (np.cos(phase), np.sin(phase), 0.0)
 
 
+def _expi(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) of a Hermitian h, as V diag(exp(-i w)) V^dag from eigh."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "instantaneous") -> np.ndarray:
     """4x4 unitary for an rf pulse.
 
     The instantaneous model is the ideal rotation.  The finite model
     integrates rf and J coupling together over the calibrated duration,
     the channel's pi/2 time scaled by angle / (pi/2) (channels of a 'both'
-    pulse are played back to back).
+    pulse are played back to back): exp(-i t_p (H_rf + H_J)) of the
+    Hermitian generator, by ``_expi``.
     """
     if event.kind != "rf":
         raise ValueError("not an rf event")
@@ -211,7 +218,7 @@ def rf_propagator(event: PulseEvent, params: SpinSystemParams, model: str = "ins
         omega1 = event.angle / t_p
         h_rf = omega1 * bloch_vector_to_op(_rf_axis(event.phase)) / 2.0
         h_rf = on_a(h_rf) if channel == "H" else on_b(h_rf)
-        return expm(-1j * t_p * (h_rf + np.diag(_drift_diagonal(params))))
+        return _expi(t_p * (h_rf + np.diag(_drift_diagonal(params))))
 
     if event.channel == "both":
         return one_channel("C") @ one_channel("H")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -241,6 +245,31 @@ class TestCli:
         assert (tmp_path / "witness.csv").exists()
         out = capsys.readouterr().out
         assert json.loads(out)["experiment"] == "fig2"
+
+    def test_only_the_exact_search_loads_scipy(self, tmp_path):
+        # a fresh interpreter, so no module another test imported can hide a load
+        script = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+
+            import nmrwitness
+            from nmrwitness.cli import main
+
+            out = Path(sys.argv[1])
+            doc = out / "state.json"
+            doc.write_text('{"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}')
+            for i, argv in enumerate([["fig2"], ["fig2", "--pulse-level"], ["fig3"], ["fig4"]]):
+                assert main([*argv, "--out", str(out / str(i))]) == 0, argv
+            assert main(["validate", str(doc)]) == 0
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
+            assert main(["custom", str(doc), "--out", str(out / "custom")]) == 0
+            assert "scipy.optimize" in sys.modules
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
 
     def test_cli_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

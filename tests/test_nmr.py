@@ -176,12 +176,24 @@ class TestRfPulse:
         assert fid >= 0.9999
 
     def test_finite_pulse_matches_full_hamiltonian_exponential(self):
-        ev = rf("C", np.pi / 2, np.pi)
-        t_p = PARAMS.pulse_pi2_c
-        omega1 = (np.pi / 2) / t_p
-        h = omega1 * on_b(np.cos(np.pi) * SIGMA_X + np.sin(np.pi) * SIGMA_Y) / 2
-        h = h + 2 * np.pi * PARAMS.j_coupling * np.kron(SIGMA_Z, SIGMA_Z) / 4
-        assert np.allclose(rf_propagator(ev, PARAMS, "finite"), expm(-1j * t_p * h), atol=1e-12)
+        # independent oracle: scipy expm of the full rotating-frame Hamiltonian,
+        # over every rf event the programs and the witness steps play
+        h_j = 2 * np.pi * PARAMS.j_coupling * np.kron(SIGMA_Z, SIGMA_Z) / 4
+        programs = (CNOT_EVENTS, *Z_ROTATION_EVENTS.values(), PSEUDO_PURE_11_EVENTS,
+                    PSEUDO_EPR_EVENTS, [rf("both", np.pi / 2, np.pi / 2)])
+        events = [ev for program in programs for ev in program if ev.kind == "rf"]
+        assert {ev.channel for ev in events} == {"H", "C", "both"}
+        for ev in events:
+            expected = IDENTITY_4
+            for channel in ("H", "C") if ev.channel == "both" else (ev.channel,):
+                pi2 = PARAMS.pulse_pi2_h if channel == "H" else PARAMS.pulse_pi2_c
+                t_p = pi2 * ev.angle / (np.pi / 2)
+                h_rf = (ev.angle / t_p) * (np.cos(ev.phase) * SIGMA_X + np.sin(ev.phase) * SIGMA_Y) / 2
+                h = (on_a(h_rf) if channel == "H" else on_b(h_rf)) + h_j
+                expected = expm(-1j * t_p * h) @ expected
+            u = rf_propagator(ev, PARAMS, "finite")
+            assert np.allclose(u, expected, rtol=0, atol=1e-12)
+            assert np.allclose(u.conj().T @ u, IDENTITY_4, rtol=0, atol=1e-12)
 
 
 class TestCompositeGates:
@@ -316,9 +328,9 @@ class TestCachedPropagators:
         import nmrwitness.nmr as nmr
 
         def no_expm(*args, **kwargs):
-            raise AssertionError("expm called by the instantaneous model")
+            raise AssertionError("matrix exponential called by the instantaneous model")
 
-        monkeypatch.setattr(nmr, "expm", no_expm)
+        monkeypatch.setattr(nmr, "_expi", no_expm)
         for cached in (nmr.pulse_step_unitaries, nmr.pulse_step_observables, nmr._pulse_deviation):
             cached.cache_clear()
         prepare_state("QC", PARAMS, level="pulse")
