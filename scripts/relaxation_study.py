@@ -2,7 +2,8 @@
 """Sweep the effective transverse relaxation times and record when the
 witness and the quantum share of the correlations fall below threshold.
 
-Writes one CSV row per (T2*_H scale, T2*_C scale) pair.
+Writes one CSV row per (T2*_H scale, T2*_C scale) pair: the two crossing
+times of the summary of one fig4 run at those parameters.
 
 Usage:
     python scripts/relaxation_study.py --out results/relaxation_study.csv
@@ -12,8 +13,8 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from nmrwitness import dynamics_sweep, prepare_deviation
-from nmrwitness.harness import CLASSICALITY_BOUND, DECAY_FRACTION
+from nmrwitness import ExperimentConfig, run_fig4
+from nmrwitness.harness import CLASSICALITY_BOUND
 from nmrwitness.nmr import SpinSystemParams
 
 
@@ -32,10 +33,10 @@ def main():
     for sh in args.scales:
         for sc in args.scales:
             params = replace(base, t2s_h=base.t2s_h * sh, t2s_c=base.t2s_c * sc)
-            series = dynamics_sweep(prepare_deviation("QC", params), args.dt,
-                                    args.steps, params)
-            t_w = series.first_time_below("witness_values", CLASSICALITY_BOUND)
-            t_q = series.first_time_below("quantum", DECAY_FRACTION * series.quantum[0])
+            summary = run_fig4(ExperimentConfig(experiment="fig4", params=params,
+                                                delta_t=args.dt, n_steps=args.steps)).summary
+            t_w = summary["first_t_witness_below_bound"]
+            t_q = summary["first_t_quantum_below_1pct"]
             lines.append(f"{params.t2s_h:.4g},{params.t2s_c:.4g},"
                          f"{t_w if t_w is not None else ''},"
                          f"{t_q if t_q is not None else ''}")

@@ -22,7 +22,6 @@ from .correlations import (
     measure_map,
     measure_map_deviation,
     mutual_information,
-    mutual_information_epsilon,
     symmetric_discord,
 )
 from .errors import (
@@ -57,14 +56,12 @@ from .nmr import (
     prepare_deviation,
     prepare_state,
     relax,
-    thermal_equilibrium_state,
 )
 from .states import (
     BlochSpec,
     ClassicalSpec,
     DensityMatrix,
     DeviationState,
-    bloch_decompose,
     classical_state,
     compose_deviation,
     extract_deviation,
@@ -74,5 +71,4 @@ from .states import (
     partial_trace,
     pauli_table,
     state_from_json,
-    state_to_json,
 )

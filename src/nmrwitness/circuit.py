@@ -260,7 +260,14 @@ def witness(
     seed: int | None = None,
     table: np.ndarray = STEP_OBSERVABLES,
 ) -> WitnessReport:
-    """Evaluate the nonlinear witness W >= 0; W = 0 certifies classicality.
+    """Evaluate the nonlinear witness W >= 0.
+
+    W is 0 on a Bell-diagonal state with at most one nonzero correlation
+    and positive on the quantum-correlated targets, but it certifies
+    neither way: the tests pin a state whose correlation matrix is off
+    diagonal, with W = 0 at every direction tried and nonzero discord, and
+    a classical z-basis mixture with zero discord whose W is positive
+    through the O_4 terms.
 
     ``mode='circuit'`` reads <O_1>..<O_3> through ``run_protocol`` with the
     readout ``table`` of a step stack (the ideal gates by default, or

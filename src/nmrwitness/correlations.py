@@ -150,12 +150,6 @@ def epsilon_correlations(delta: np.ndarray) -> np.ndarray:
     return _epsilon_terms(delta)[3]
 
 
-def mutual_information_epsilon(dev: DeviationState) -> float:
-    """Leading-order mutual information ||T||_F^2 / 2, in units of
-    (epsilon^2/ln2) bit; the local terms of the deviation cancel."""
-    return float(epsilon_correlations(dev.delta)[0])
-
-
 def discord_epsilon(dev: DeviationState) -> CorrelationReport:
     """Leading-order symmetric discord, in units of (epsilon^2/ln2) bit.
 

@@ -39,7 +39,7 @@ from .states import (
 CROSS_CHECK_TOL = 1e-8
 CLASSICALITY_BOUND = 0.05
 # A correlation quantifier counts as decayed below this fraction of its
-# t = 0 value (fig4's summary and scripts/relaxation_study.py).
+# t = 0 value (fig4's summary, which scripts/relaxation_study.py reads).
 DECAY_FRACTION = 0.01
 
 # Preparation-noise knob: per-qubit random rotations with this angle spread
@@ -189,7 +189,9 @@ def _witness_with_cross_check(state: DeviationState | DensityMatrix, seeds: tupl
     witness over the direction ``seeds``, read in circuit mode with the
     readout ``table`` and in direct mode, with the largest circuit vs
     direct readout gap over all seeds; CrossCheckFailure when that gap
-    exceeds CROSS_CHECK_TOL."""
+    exceeds CROSS_CHECK_TOL.  The gap is in thermal units for a deviation
+    (a raw gap is divided by 2 epsilon) and in units of rho for a
+    DensityMatrix."""
     best = None
     worst_gap = 0.0
     for s in seeds:
@@ -199,6 +201,8 @@ def _witness_with_cross_check(state: DeviationState | DensityMatrix, seeds: tupl
         worst_gap = max(worst_gap, float(np.max(np.abs(circuit.o - direct.o))))
         if best is None or circuit.w > best[0].w:
             best = circuit, direct
+    if normalization == "raw" and isinstance(state, DeviationState):
+        worst_gap /= 2.0 * state.epsilon
     if worst_gap > CROSS_CHECK_TOL:
         raise CrossCheckFailure(
             f"circuit vs direct readout gap {worst_gap:.3e} exceeds {CROSS_CHECK_TOL}")
@@ -330,7 +334,7 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     eps_corr = None if dev is None else discord_epsilon(dev).to_json()
 
     circuit_rep, direct_rep, gap = _witness_with_cross_check(
-        state, (config.seed,), STEP_OBSERVABLES, "raw", None, True)
+        state, config.seeds(), STEP_OBSERVABLES, "raw", None, True)
     exact = symmetric_discord(state)
     rows = [{
         "witness_circuit": circuit_rep.to_json(),

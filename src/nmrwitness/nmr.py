@@ -370,12 +370,6 @@ def thermal_deviation(params: SpinSystemParams) -> np.ndarray:
     return (on_a(SIGMA_Z) + on_b(SIGMA_Z) / params.gamma_ratio) / 2.0
 
 
-def thermal_equilibrium_state(params: SpinSystemParams) -> DensityMatrix:
-    """I/4 + epsilon * thermal_deviation, composed and checked on each call;
-    raises NotAState if epsilon is too large for it."""
-    return compose_deviation(DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon))
-
-
 def relaxation_fixed_point(params: SpinSystemParams) -> DensityMatrix:
     """Product of the per-qubit thermal states, the exact stationary state of
     ``relax``; differs from the linear thermal form only at order epsilon^2."""
@@ -439,8 +433,9 @@ _PREPARATIONS = {"pseudo_pure_11": PSEUDO_PURE_11_EVENTS,
 def _pulse_deviation(kind: str, params: SpinSystemParams, model: str) -> DeviationState:
     """The checked pulse-level deviation of ``kind``, a cached read-only
     constant; lru_cache keeps no exception, so a failure raises every call."""
-    thermal_equilibrium_state(params)   # NotAState if epsilon admits no thermal state
-    delta = _run(thermal_deviation(params), _segments(_PREPARATIONS[kind], params, model))
+    thermal = DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon)
+    compose_deviation(thermal)   # NotAState if epsilon admits no thermal state
+    delta = _run(thermal.delta, _segments(_PREPARATIONS[kind], params, model))
     delta = PP_CALIBRATION * delta
     dist = trace_norm(delta - _IDEAL_DEVIATIONS[kind]) / 2
     if dist > PULSE_PREP_TOLERANCE:

@@ -28,11 +28,6 @@ def on_b(op: np.ndarray) -> np.ndarray:
     return np.kron(IDENTITY_2, op)
 
 
-def pauli_pair(i: int) -> np.ndarray:
-    """sigma_i (x) sigma_i for i in 1..3."""
-    return np.kron(SIGMA[i - 1], SIGMA[i - 1])
-
-
 def bloch_vector_to_op(n: np.ndarray) -> np.ndarray:
     """n . sigma for a real 3-vector n."""
     n = np.asarray(n, dtype=float)

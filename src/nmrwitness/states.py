@@ -293,17 +293,6 @@ def from_bloch(spec: BlochSpec) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def bloch_decompose(rho: DensityMatrix) -> tuple[BlochSpec, np.ndarray]:
-    """Read off local Bloch vectors and the full 3x3 correlation matrix.
-
-    Returns (spec, corr) where spec.c is the diagonal of corr.  Inverse of
-    ``from_bloch`` whenever the off-diagonal correlations vanish.
-    """
-    r = pauli_table(rho.matrix)
-    corr = r[1:, 1:]
-    return BlochSpec(a=r[1:, 0], b=r[0, 1:], c=np.diag(corr)), corr
-
-
 def compose_deviation(dev: DeviationState) -> DensityMatrix:
     """rho = I/4 + epsilon * delta; raises NotAState if epsilon is too large."""
     return DensityMatrix(IDENTITY_4 / 4.0 + dev.epsilon * dev.delta)
@@ -370,18 +359,6 @@ def normalized_trace_distance(d1: DeviationState, d2: DeviationState) -> float:
 #
 # Deviation form: {"epsilon": e, "delta_re": [[...]], "delta_im": [[...]]}
 # Bloch shorthand: {"bloch": {"a": [...], "b": [...], "c": [...]}}
-
-
-def state_to_json(state) -> dict:
-    if isinstance(state, DeviationState):
-        return {
-            "epsilon": state.epsilon,
-            "delta_re": state.delta.real.tolist(),
-            "delta_im": state.delta.imag.tolist(),
-        }
-    if isinstance(state, BlochSpec):
-        return {"bloch": {"a": state.a.tolist(), "b": state.b.tolist(), "c": state.c.tolist()}}
-    raise TypeError(f"cannot serialize {type(state).__name__}")
 
 
 def _fields(doc, keys: tuple, where: str) -> list:

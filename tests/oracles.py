@@ -10,10 +10,24 @@ oracle is the explicit Kraus sum of the channel, while the production
 runs the per-event propagators one at a time in extended precision, while
 the production kernel applies folded float segments.  The noise-model
 oracle is the preparation-noise draw written with ``np.kron`` and
-``np.eye``, which the production code no longer calls.
+``np.eye``, which the production code no longer calls.  The direct read of
+the correlations that the witness circuit must reproduce is tr(rho s_i x
+s_i) with Pauli matrices written out here, not the production Pauli table.
 """
 
 import numpy as np
+
+# sigma_x, sigma_y, sigma_z, written out here rather than imported
+_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def pauli_pair_expectation(rho, i: int) -> float:
+    """<s_i x s_i> of a DensityMatrix for i in 1..3, the direct read
+    tr(rho s_i x s_i) of one explicit Kronecker product."""
+    s = _SIGMA[i - 1]
+    return rho.expectation(np.kron(s, s))
 
 
 def spinor_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,6 @@ from nmrwitness import (
     compose_deviation,
     discord_epsilon,
     mutual_information,
-    mutual_information_epsilon,
     prepare_state,
     protocol_state,
     readout_sigma_x_a,
@@ -33,12 +32,11 @@ from nmrwitness.nmr import (
     gradient,
     propagator_fidelity,
     sequence_propagator,
-    thermal_equilibrium_state,
 )
-from nmrwitness.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, pauli_pair
+from nmrwitness.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, on_a
 
 from conftest import bell_phi_plus, random_density_matrix
-from oracles import grid_search
+from oracles import grid_search, pauli_pair_expectation
 
 PARAMS = SpinSystemParams()
 
@@ -76,7 +74,7 @@ def test_criterion_2_circuit_identity():
         rho = random_density_matrix(rng)
         for i in (1, 2, 3):
             via_circuit = readout_sigma_x_a(protocol_state(rho, i))
-            direct = rho.expectation(pauli_pair(i))
+            direct = pauli_pair_expectation(rho, i)
             worst = max(worst, abs(via_circuit - direct))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
@@ -133,7 +131,7 @@ def test_criterion_4_exact_discord_sanity():
 def test_criterion_5_expansion_convergence():
     ln2 = np.log(2)
     eps_values = [1e-2, 1e-3, 1e-4]
-    i_eps = mutual_information_epsilon(DeviationState(delta=QC_DELTA))
+    i_eps = discord_epsilon(DeviationState(delta=QC_DELTA)).mutual_info
     assert abs(i_eps - 6.0) <= 1e-12
     diffs = []
     for eps in eps_values:
@@ -176,7 +174,7 @@ def test_criterion_7_decoherence_dynamics():
 
     qc = prepare_state("QC", PARAMS)
     limit = relax(qc, 500.0, PARAMS)
-    thermal = thermal_equilibrium_state(PARAMS)
+    thermal = prepare_state("thermal", PARAMS)
     gap = float(np.max(np.abs(limit.matrix - thermal.matrix)))
     assert gap <= 1e-10
     print(f"\nACCEPTANCE 7 PASS: W, Q monotone; W < 0.05 at t = {t_w:.4f} s; "

@@ -10,15 +10,17 @@ from nmrwitness import (
     DensityMatrix,
     DeviationState,
     WitnessDirection,
-    bloch_decompose,
     classical_state,
     from_bloch,
     partial_trace,
+    pauli_table,
+    prepare_state,
     protocol_state,
     readout_sigma_x_a,
     rotation,
     run_protocol,
     sample_direction,
+    symmetric_discord,
     witness,
 )
 from nmrwitness.circuit import (
@@ -35,11 +37,11 @@ from nmrwitness.nmr import (
     SpinSystemParams,
     pulse_step_observables,
     pulse_step_unitaries,
-    thermal_equilibrium_state,
 )
-from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_pair, su2
+from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
+from oracles import pauli_pair_expectation
 
 
 class TestRotation:
@@ -153,7 +155,7 @@ class TestProtocol:
             rho = random_density_matrix(rng)
             for i in (1, 2, 3):
                 via_circuit = readout_sigma_x_a(protocol_state(rho, i))
-                direct = rho.expectation(pauli_pair(i))
+                direct = pauli_pair_expectation(rho, i)
                 worst = max(worst, abs(via_circuit - direct))
         assert worst <= 1e-10
 
@@ -246,22 +248,24 @@ class TestReadout:
 
 
 class TestLocalMagnetizations:
-    """The local Bloch vectors that O_4 reads, from bloch_decompose."""
+    """The local Bloch vectors that O_4 reads, a = R[1:, 0] and b = R[0, 1:]
+    of the Pauli table."""
 
     def test_bell_diagonal_zero(self):
-        spec, _ = bloch_decompose(triplet())
-        assert np.allclose(spec.a, 0, atol=1e-12) and np.allclose(spec.b, 0, atol=1e-12)
+        r = pauli_table(triplet().matrix)
+        assert np.allclose(r[1:, 0], 0, atol=1e-12) and np.allclose(r[0, 1:], 0, atol=1e-12)
 
     def test_ket_00(self):
-        spec, _ = bloch_decompose(DensityMatrix(ket_projector(1, 0, 0, 0)))
-        assert np.allclose(spec.a, [0, 0, 1], atol=1e-12)
-        assert np.allclose(spec.b, [0, 0, 1], atol=1e-12)
+        r = pauli_table(ket_projector(1, 0, 0, 0))
+        assert np.allclose(r[1:, 0], [0, 0, 1], atol=1e-12)
+        assert np.allclose(r[0, 1:], [0, 0, 1], atol=1e-12)
 
     def test_thermal_ratio(self):
         params = SpinSystemParams()
-        spec, _ = bloch_decompose(thermal_equilibrium_state(params))
-        assert abs(spec.a[2] / spec.b[2] - params.gamma_ratio) < 1e-9
-        assert np.allclose(spec.a[:2], 0, atol=1e-15) and np.allclose(spec.b[:2], 0, atol=1e-15)
+        r = pauli_table(prepare_state("thermal", params).matrix)
+        a, b = r[1:, 0], r[0, 1:]
+        assert abs(a[2] / b[2] - params.gamma_ratio) < 1e-9
+        assert np.allclose(a[:2], 0, atol=1e-15) and np.allclose(b[:2], 0, atol=1e-15)
 
 
 class TestSampleDirection:
@@ -330,6 +334,23 @@ class TestWitness:
                 for seed in (0, 11):
                     rep = witness(classical_state(spec), sample_direction(seed))
                     assert rep.w <= 1e-12, (axis, alpha)
+
+    def test_zero_witness_with_nonzero_discord(self):
+        # W does not certify classicality: a Bell-diagonal state after a local
+        # z rotation has only off-diagonal correlations, which no O_i reads
+        rho = DensityMatrix(IDENTITY_4 / 4
+                            + 0.4 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X)) / 4)
+        for seed in (0, 1, 2, 3):
+            assert witness(rho, sample_direction(seed)).w <= 1e-12, seed
+        assert abs(symmetric_discord(rho).quantum - 0.1468) <= 1e-4
+
+    def test_positive_witness_on_classical_state(self):
+        # nor does W > 0 certify quantumness: a z-basis mixture without
+        # uniform marginals reads W > 0 through the O_4 terms alone
+        rho = classical_state(ClassicalSpec(probabilities=[0.5, 0.2, 0.2, 0.1]))
+        assert abs(witness(rho, sample_direction(0)).w - 0.1211) <= 1e-4
+        assert witness(rho, sample_direction(0), include_o4=False).w <= 1e-12
+        assert abs(symmetric_discord(rho).quantum) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 2**31))

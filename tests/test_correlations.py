@@ -16,7 +16,6 @@ from nmrwitness import (
     measure_map,
     measure_map_deviation,
     mutual_information,
-    mutual_information_epsilon,
     symmetric_discord,
 )
 from nmrwitness.correlations import _exact_objective, pauli_coefficients
@@ -120,8 +119,8 @@ class TestFastObjectives:
             rep = discord_epsilon(DeviationState(delta=delta))
             slow = measured_info_expansion(delta, rep.argmax_basis.angles())
             assert abs(rep.classical - slow) < 1e-10
-            via_module = mutual_information_epsilon(
-                DeviationState(delta=measure_map_deviation(delta, rep.argmax_basis)))
+            via_module = discord_epsilon(
+                DeviationState(delta=measure_map_deviation(delta, rep.argmax_basis))).mutual_info
             assert abs(rep.classical - via_module) < 1e-10
             for _ in range(200):
                 other = measured_info_expansion(delta, random_basis(rng).angles())
@@ -130,26 +129,26 @@ class TestFastObjectives:
 
 class TestExpansionValues:
     def test_zero_deviation(self):
-        assert mutual_information_epsilon(DeviationState(delta=np.zeros((4, 4)))) == 0
+        assert discord_epsilon(DeviationState(delta=np.zeros((4, 4)))).mutual_info == 0
 
     def test_quantum_correlated_six(self):
-        assert abs(mutual_information_epsilon(DeviationState(delta=QC_DELTA)) - 6.0) < 1e-12
+        assert abs(discord_epsilon(DeviationState(delta=QC_DELTA)).mutual_info - 6.0) < 1e-12
 
     def test_classical_correlated_eight(self):
-        assert abs(mutual_information_epsilon(DeviationState(delta=CC_DELTA)) - 8.0) < 1e-12
+        assert abs(discord_epsilon(DeviationState(delta=CC_DELTA)).mutual_info - 8.0) < 1e-12
 
     def test_mim_qc_measured_zz(self):
         chi = measure_map_deviation(QC_DELTA, Z_BASIS)
         assert np.allclose(chi, -2 / 4 * np.kron(SIGMA_Z, SIGMA_Z), atol=1e-12)
-        assert abs(mutual_information_epsilon(DeviationState(delta=chi)) - 2.0) < 1e-12
+        assert abs(discord_epsilon(DeviationState(delta=chi)).mutual_info - 2.0) < 1e-12
 
     def test_mim_cc_fixed_point(self):
         chi = measure_map_deviation(CC_DELTA, Z_BASIS)
         assert np.allclose(chi, CC_DELTA, atol=1e-12)
-        assert abs(mutual_information_epsilon(DeviationState(delta=chi)) - 8.0) < 1e-12
+        assert abs(discord_epsilon(DeviationState(delta=chi)).mutual_info - 8.0) < 1e-12
 
     def test_mim_zero_for_measured_identity_deviation(self):
-        assert mutual_information_epsilon(DeviationState(delta=np.zeros((4, 4)))) == 0
+        assert discord_epsilon(DeviationState(delta=np.zeros((4, 4)))).mutual_info == 0
 
 
 class TestDiscordEpsilon:
@@ -371,7 +370,7 @@ class TestInvariants:
 
     def test_epsilon_expansion_consistency(self):
         ln2 = np.log(2)
-        i_eps = mutual_information_epsilon(DeviationState(delta=QC_DELTA))
+        i_eps = discord_epsilon(DeviationState(delta=QC_DELTA)).mutual_info
         diffs = []
         eps_values = [1e-2, 1e-3, 1e-4]
         for eps in eps_values:

@@ -22,9 +22,10 @@ from nmrwitness import (
     run_fig2,
     run_fig3,
     run_fig4,
+    sample_direction,
     state_from_json,
-    state_to_json,
     validate_state_doc,
+    witness,
 )
 from nmrwitness.cli import _config_from_args, build_parser, main
 from nmrwitness.errors import BadConfig, BadDocument, NotAState
@@ -192,10 +193,24 @@ class TestCustomAndValidate:
         assert abs(row["exact_correlations"]["Q"] - 1.0) < 1e-6
         assert row["epsilon_correlations"] is None
 
+    def test_direction_seeds(self):
+        # local vectors make W depend on the O_4 direction; seed 0, the
+        # default, would read more than any of the configured seeds
+        doc = {"bloch": {"a": [0.2, 0.0, 0.3], "b": [0.0, -0.2, 0.1], "c": [0.3, -0.2, 0.4]}}
+        rho = state_from_json(doc)
+        seeds = (1, 2, 3)
+        w = {s: witness(rho, sample_direction(s)).w for s in seeds}
+        best = max(seeds, key=w.get)
+        assert witness(rho, sample_direction(0)).w > w[best]
+        row = run_custom(ExperimentConfig(experiment="custom", direction_seeds=seeds), doc).rows[0]
+        assert row["witness_circuit"]["seed"] == best == row["witness_direct"]["seed"]
+        assert abs(row["witness_circuit"]["W"] - w[best]) <= 1e-12
+
     def test_classical_sample(self):
         rho = classical_state(ClassicalSpec(probabilities=[0.5, 0, 0, 0.5]))
         dev = extract_deviation(rho, 1.0)
-        doc = state_to_json(dev)
+        doc = {"epsilon": dev.epsilon, "delta_re": dev.delta.real.tolist(),
+               "delta_im": dev.delta.imag.tolist()}
         report = run_custom(ExperimentConfig(experiment="custom"), doc)
         row = report.rows[0]
         assert row["witness_circuit"]["W"] <= 1e-10
@@ -297,16 +312,22 @@ class TestCli:
 
     @pytest.mark.parametrize("command, fault", [
         ("fig2", "tolerance"), ("fig4", "tolerance"), ("custom", "tolerance"), ("fig2", "table"),
-    ], ids=["fig2", "fig4", "custom", "fig2-wrong-table"])
+        ("fig2", "raw-scaled"),
+    ], ids=["fig2", "fig4", "custom", "fig2-wrong-table", "fig2-raw-scaled"])
     def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch, capsys, command, fault):
         import nmrwitness.harness as harness
 
+        argv = [command]
         if fault == "tolerance":
             monkeypatch.setattr(harness, "CROSS_CHECK_TOL", -1.0)
-        else:
+        elif fault == "table":
             # steps 2 and 3 read each other's correlation: QC's (1, 1, -1) reads (1, -1, 1)
             monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES[:, [0, 2, 1]])
-        argv = [command]
+        else:
+            # a 1e-4 table error gaps the raw deviation readouts by about 2e-9,
+            # 1e-4 in the thermal units the gap is measured in
+            monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES * (1 + 1e-4))
+            argv += ["--normalization", "raw"]
         if command == "custom":
             doc = tmp_path / "state.json"
             doc.write_text(json.dumps({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}))

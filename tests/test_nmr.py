@@ -10,10 +10,10 @@ from nmrwitness import (
     BlochSpec,
     DensityMatrix,
     DeviationState,
-    bloch_decompose,
     extract_deviation,
     from_bloch,
     normalized_trace_distance,
+    pauli_table,
     prepare_state,
     protocol_state,
     readout_sigma_x_a,
@@ -54,13 +54,17 @@ from nmrwitness.nmr import (
     rf_propagator,
     sequence_propagator,
     thermal_deviation,
-    thermal_equilibrium_state,
 )
 from nmrwitness.circuit import CNOT
-from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b, pauli_pair
+from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, on_b
 
 from conftest import ket_projector, random_density_matrix, triplet
-from oracles import relax_kraus, relax_kraus_mixed_term, run_pulse_program_extended
+from oracles import (
+    pauli_pair_expectation,
+    relax_kraus,
+    relax_kraus_mixed_term,
+    run_pulse_program_extended,
+)
 
 PARAMS = SpinSystemParams()
 
@@ -217,7 +221,7 @@ class TestCompositeGates:
     def test_z_rotation_on_both_channels_reproduces_yy_readout(self):
         rho = from_bloch(BlochSpec(c=np.array([0.2, -0.7, 0.4])))
         xi = apply_sequence(rho, Z_ROTATION_EVENTS["H"] + Z_ROTATION_EVENTS["C"] + CNOT_EVENTS, PARAMS)
-        assert abs(readout_sigma_x_a(xi) - rho.expectation(pauli_pair(2))) < 1e-10
+        assert abs(readout_sigma_x_a(xi) - pauli_pair_expectation(rho, 2)) < 1e-10
 
     def test_cnot_flips_target(self):
         rho = DensityMatrix(ket_projector(0, 0, 1, 0))
@@ -246,7 +250,7 @@ class TestCachedPropagators:
     @pytest.mark.parametrize("model", MODELS)
     def test_folded_sequence_matches_per_pulse_application(self, model):
         events = PSEUDO_PURE_11_EVENTS + PSEUDO_EPR_EVENTS
-        m = thermal_equilibrium_state(PARAMS).matrix
+        m = prepare_state("thermal", PARAMS).matrix
         for ev in events:
             if ev.kind == "gradient":
                 m = np.diag(np.diag(m))
@@ -256,7 +260,7 @@ class TestCachedPropagators:
             else:
                 u = free_evolution_propagator(ev.j_units / PARAMS.j_coupling, PARAMS)
             m = u @ m @ u.conj().T
-        folded = apply_sequence(thermal_equilibrium_state(PARAMS), events, PARAMS, model)
+        folded = apply_sequence(prepare_state("thermal", PARAMS), events, PARAMS, model)
         assert np.max(np.abs(folded.matrix - m)) <= 1e-14
 
     @pytest.mark.parametrize("model", MODELS)
@@ -312,7 +316,7 @@ class TestCachedPropagators:
         with pytest.raises(ValueError, match="not unitary"):
             sequence_propagator(CNOT_EVENTS, PARAMS)
         with pytest.raises(ValueError, match="not unitary"):
-            apply_sequence(thermal_equilibrium_state(PARAMS), PSEUDO_PURE_11_EVENTS, PARAMS)
+            apply_sequence(prepare_state("thermal", PARAMS), PSEUDO_PURE_11_EVENTS, PARAMS)
 
     def test_non_finite_segment_raises_when_the_cache_fills(self, monkeypatch):
         import nmrwitness.nmr as nmr
@@ -349,8 +353,7 @@ class TestGradientDephase:
         out = apply_sequence(triplet(), [gradient()], PARAMS)
         expect = (ket_projector(0, 1, 0, 0) + ket_projector(0, 0, 1, 0)) / 2
         assert np.allclose(out.matrix, expect, atol=1e-12)
-        spec, _ = bloch_decompose(out)
-        assert np.allclose(spec.c, [0, 0, -1], atol=1e-12)
+        assert np.allclose(pauli_table(out.matrix).diagonal()[1:], [0, 0, -1], atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31))
@@ -374,7 +377,7 @@ class TestRelax:
             assert np.max(np.abs(out.matrix - fp.matrix)) <= 1e-10
 
     def test_thermal_state_is_fixed_within_tolerance(self):
-        th = thermal_equilibrium_state(PARAMS)
+        th = prepare_state("thermal", PARAMS)
         out = relax(th, 100.0, PARAMS)
         assert np.max(np.abs(out.matrix - th.matrix)) <= 1e-10
 
@@ -383,19 +386,19 @@ class TestRelax:
         # component decays exactly at 1/T2*, so xx and yy correlations decay
         # at the sum of the two rates
         qc = prepare_state("QC", PARAMS)
-        c0 = bloch_decompose(qc)[0].c
+        c0 = pauli_table(qc.matrix).diagonal()[1:]
         rate = 1 / PARAMS.t2s_h + 1 / PARAMS.t2s_c
         for t in (0.01, 0.1, 0.5):
-            ct = bloch_decompose(relax(qc, t, PARAMS))[0].c
+            ct = pauli_table(relax(qc, t, PARAMS).matrix).diagonal()[1:]
             assert abs(ct[0] - c0[0] * np.exp(-rate * t)) < 1e-16
             assert abs(ct[1] - c0[1] * np.exp(-rate * t)) < 1e-16
 
     def test_longitudinal_relaxation_toward_thermal(self):
         qc = prepare_state("QC", PARAMS)
-        spec_inf, _ = bloch_decompose(relax(qc, 500.0, PARAMS))
-        fp_spec, _ = bloch_decompose(relaxation_fixed_point(PARAMS))
-        assert np.allclose(spec_inf.a, fp_spec.a, atol=1e-12)
-        assert np.allclose(spec_inf.b, fp_spec.b, atol=1e-12)
+        r_inf = pauli_table(relax(qc, 500.0, PARAMS).matrix)
+        r_fp = pauli_table(relaxation_fixed_point(PARAMS).matrix)
+        assert np.allclose(r_inf[1:, 0], r_fp[1:, 0], atol=1e-12)
+        assert np.allclose(r_inf[0, 1:], r_fp[0, 1:], atol=1e-12)
 
     def test_semigroup_property(self, rng):
         rho = random_density_matrix(rng)
@@ -428,11 +431,11 @@ class TestRelax:
 
 class TestPrepareState:
     def test_deviation_level_targets(self):
-        spec_qc, _ = bloch_decompose(prepare_state("QC", PARAMS))
+        c_qc = pauli_table(prepare_state("QC", PARAMS).matrix).diagonal()[1:]
         eps = PARAMS.epsilon
-        assert np.allclose(spec_qc.c, [2 * eps, 2 * eps, -2 * eps], atol=1e-16)
-        spec_cc, _ = bloch_decompose(prepare_state("CC", PARAMS))
-        assert np.allclose(spec_cc.c, [0, 0, -4 * eps], atol=1e-16)
+        assert np.allclose(c_qc, [2 * eps, 2 * eps, -2 * eps], atol=1e-16)
+        c_cc = pauli_table(prepare_state("CC", PARAMS).matrix).diagonal()[1:]
+        assert np.allclose(c_cc, [0, 0, -4 * eps], atol=1e-16)
 
     def test_thermal_witness_is_zero(self):
         th = prepare_state("thermal", PARAMS)
@@ -441,11 +444,11 @@ class TestPrepareState:
 
     def test_pseudo_pure_deviation_pattern(self):
         rho = prepare_state("pseudo_pure_11", PARAMS)
-        spec, _ = bloch_decompose(rho)
+        r = pauli_table(rho.matrix)
         eps = PARAMS.epsilon
-        assert np.allclose(spec.a, [0, 0, -2 * eps], atol=1e-16)
-        assert np.allclose(spec.b, [0, 0, -2 * eps], atol=1e-16)
-        assert np.allclose(spec.c, [0, 0, 2 * eps], atol=1e-16)
+        assert np.allclose(r[1:, 0], [0, 0, -2 * eps], atol=1e-16)
+        assert np.allclose(r[0, 1:], [0, 0, -2 * eps], atol=1e-16)
+        assert np.allclose(r.diagonal()[1:], [0, 0, 2 * eps], atol=1e-16)
 
     def test_pulse_level_qc_close_to_ideal(self):
         ideal = extract_deviation(prepare_state("QC", PARAMS), PARAMS.epsilon)
@@ -637,6 +640,6 @@ class TestThermalModel:
         assert np.allclose(delta, expect)
 
     def test_fixed_point_close_to_linear_thermal_state(self):
-        th = thermal_equilibrium_state(PARAMS)
+        th = prepare_state("thermal", PARAMS)
         fp = relaxation_fixed_point(PARAMS)
         assert np.max(np.abs(th.matrix - fp.matrix)) <= 1e-10

@@ -11,7 +11,6 @@ from nmrwitness import (
     ClassicalSpec,
     DensityMatrix,
     DeviationState,
-    bloch_decompose,
     classical_state,
     compose_deviation,
     extract_deviation,
@@ -21,7 +20,6 @@ from nmrwitness import (
     partial_trace,
     pauli_table,
     state_from_json,
-    state_to_json,
 )
 from nmrwitness import prepare_state, states
 from nmrwitness.errors import BadDistribution, EpsilonMismatch, NotAState
@@ -145,24 +143,26 @@ class TestFromBloch:
 
 
 class TestBlochDecompose:
+    """Local Bloch vectors and correlations read off ``pauli_table``."""
+
     def test_maximally_mixed_all_zero(self):
-        spec, corr = bloch_decompose(DensityMatrix(IDENTITY_4 / 4))
-        assert np.allclose(spec.a, 0) and np.allclose(spec.b, 0)
-        assert np.allclose(corr, 0)
+        r = pauli_table(DensityMatrix(IDENTITY_4 / 4).matrix)
+        assert np.allclose(r[1:, 0], 0) and np.allclose(r[0, 1:], 0)
+        assert np.allclose(r[1:, 1:], 0)
 
     def test_round_trip(self):
         spec = BlochSpec(c=np.array([1.0, 1.0, -1.0]))
-        out, _ = bloch_decompose(from_bloch(spec))
-        assert np.allclose(out.c, spec.c, atol=1e-12)
-        assert np.allclose(out.a, 0, atol=1e-12) and np.allclose(out.b, 0, atol=1e-12)
+        r = pauli_table(from_bloch(spec).matrix)
+        assert np.allclose(r.diagonal()[1:], spec.c, atol=1e-12)
+        assert np.allclose(r[1:, 0], 0, atol=1e-12) and np.allclose(r[0, 1:], 0, atol=1e-12)
 
     def test_product_ket_00(self):
         rho = DensityMatrix(ket_projector(1, 0, 0, 0))
-        spec, corr = bloch_decompose(rho)
+        r = pauli_table(rho.matrix)
         # direct trace computation: <sz x I> = <I x sz> = <sz x sz> = 1
-        assert np.allclose(spec.a, [0, 0, 1], atol=1e-12)
-        assert np.allclose(spec.b, [0, 0, 1], atol=1e-12)
-        assert np.allclose(spec.c, [0, 0, 1], atol=1e-12)
+        assert np.allclose(r[1:, 0], [0, 0, 1], atol=1e-12)
+        assert np.allclose(r[0, 1:], [0, 0, 1], atol=1e-12)
+        assert np.allclose(r.diagonal()[1:], [0, 0, 1], atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31))
@@ -173,8 +173,7 @@ class TestBlochDecompose:
             rho = from_bloch(BlochSpec(c=c))
         except NotAState:
             return
-        out, _ = bloch_decompose(rho)
-        assert np.allclose(out.c, c, atol=1e-12)
+        assert np.allclose(pauli_table(rho.matrix).diagonal()[1:], c, atol=1e-12)
 
     def test_pauli_table_matches_traces_and_inverts(self, rng):
         # direct trace oracle for all 16 entries of a state with every entry nonzero
@@ -194,13 +193,13 @@ class TestDeviation:
         delta = (2 * np.kron(SIGMA_X, SIGMA_X) + 2 * np.kron(SIGMA_Y, SIGMA_Y)
                  - 2 * np.kron(SIGMA_Z, SIGMA_Z)) / 4
         rho = compose_deviation(DeviationState(delta=delta, epsilon=1e-5))
-        spec, _ = bloch_decompose(rho)
-        assert np.allclose(spec.c, [2e-5, 2e-5, -2e-5], atol=1e-18)
+        c = pauli_table(rho.matrix).diagonal()[1:]
+        assert np.allclose(c, [2e-5, 2e-5, -2e-5], atol=1e-18)
 
     def test_classical_correlated_target_coefficients(self):
         rho = compose_deviation(DeviationState(delta=-np.kron(SIGMA_Z, SIGMA_Z), epsilon=1e-5))
-        spec, _ = bloch_decompose(rho)
-        assert np.allclose(spec.c, [0, 0, -4e-5], atol=1e-18)
+        c = pauli_table(rho.matrix).diagonal()[1:]
+        assert np.allclose(c, [0, 0, -4e-5], atol=1e-18)
 
     def test_compose_extract_inverse_bulk(self):
         rng = np.random.default_rng(7)
@@ -245,8 +244,7 @@ class TestClassicalState:
         rho = classical_state(ClassicalSpec(probabilities=[0.5, 0, 0, 0.5]))
         expect = (ket_projector(1, 0, 0, 0) + ket_projector(0, 0, 0, 1)) / 2
         assert np.allclose(rho.matrix, expect, atol=1e-12)
-        spec, _ = bloch_decompose(rho)
-        assert np.allclose(spec.c, [0, 0, 1], atol=1e-12)
+        assert np.allclose(pauli_table(rho.matrix).diagonal()[1:], [0, 0, 1], atol=1e-12)
 
     def test_even_mixture_x_bases(self):
         x_basis = (np.pi / 2, 0.0)
@@ -258,8 +256,7 @@ class TestClassicalState:
         minus = ket_projector(1 / np.sqrt(2), -1 / np.sqrt(2))
         expect = (np.kron(plus, plus) + np.kron(minus, minus)) / 2
         assert np.allclose(rho.matrix, expect, atol=1e-12)
-        spec, _ = bloch_decompose(rho)
-        assert np.allclose(spec.c, [1, 0, 0], atol=1e-12)
+        assert np.allclose(pauli_table(rho.matrix).diagonal()[1:], [1, 0, 0], atol=1e-12)
 
     def test_bad_distribution(self):
         with pytest.raises(BadDistribution):
@@ -324,7 +321,8 @@ class TestNormalizedTraceDistance:
 class TestJsonForms:
     def test_deviation_round_trip(self, rng):
         dev = DeviationState(delta=random_traceless_hermitian(rng), epsilon=3e-4)
-        doc = json.loads(json.dumps(state_to_json(dev)))
+        doc = json.loads(json.dumps({"epsilon": dev.epsilon, "delta_re": dev.delta.real.tolist(),
+                                     "delta_im": dev.delta.imag.tolist()}))
         back = state_from_json(doc)
         assert isinstance(back, DeviationState)
         assert back.epsilon == dev.epsilon
@@ -335,11 +333,6 @@ class TestJsonForms:
         rho = state_from_json(doc)
         assert isinstance(rho, DensityMatrix)
         assert np.allclose(rho.matrix, triplet().matrix, atol=1e-12)
-
-    def test_bloch_spec_serializes(self):
-        spec = BlochSpec(c=np.array([0.1, 0.2, -0.3]))
-        doc = state_to_json(spec)
-        assert doc["bloch"]["c"] == [0.1, 0.2, -0.3]
 
 
 def _outcome(fn, *args):
