@@ -74,13 +74,6 @@ class CorrelationReport:
             "argmax_basis": {"theta_a": t_a, "phi_a": p_a, "theta_b": t_b, "phi_b": p_b},
         }
 
-    def csv_row(self, state_id: str) -> str:
-        t_a, p_a, t_b, p_b = self.argmax_basis.angles()
-        vals = [self.mutual_info, self.quantum, self.classical]
-        nums = ",".join(f"{v:.12g}" for v in vals)
-        angs = ",".join(f"{v:.12g}" for v in (t_a, p_a, t_b, p_b))
-        return f"{state_id},{nums},{self.units},{angs}"
-
 
 # --- entropies --------------------------------------------------------------
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .circuit import STEP_OBSERVABLES, sample_direction, witness
 from .correlations import (
+    CorrelationReport,
     discord_epsilon,
     mutual_information,
     symmetric_discord,
@@ -107,7 +108,7 @@ class ExperimentConfig:
         return self.direction_seeds if self.direction_seeds else (self.seed,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     experiment: str
     rows: list
@@ -115,7 +116,6 @@ class RunReport:
     files: dict
     cross_check_max: float
     elapsed_s: float
-    version: str = __version__
 
     def to_json(self) -> dict:
         return {
@@ -123,7 +123,7 @@ class RunReport:
             "rows": self.rows,
             "summary": self.summary,
             "cross_check_max": self.cross_check_max,
-            "version": self.version,
+            "version": __version__,
         }
 
 
@@ -214,26 +214,49 @@ def _circuit_table(config: ExperimentConfig) -> np.ndarray:
     return pulse_step_observables(config.params) if config.pulse_level else STEP_OBSERVABLES
 
 
-def _write(files: dict, out_dir: str | None, name: str, text: str):
-    if out_dir is None:
-        return
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    files[name] = str(path)
+def _csv(header: str, rows) -> str:
+    """A CSV table: ``header``, then one line per row of ``rows``; a float
+    (np.float64 included) is printed to 12 significant digits, anything
+    else with str."""
+    lines = [header]
+    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_CORRELATION_HEADER = "state_id,I,Q,C,units,theta_a,phi_a,theta_b,phi_b"
+
+
+def _correlation_row(state_id: str, rep: CorrelationReport) -> tuple:
+    """The _CORRELATION_HEADER row of a CorrelationReport."""
+    return (state_id, rep.mutual_info, rep.quantum, rep.classical, rep.units,
+            *rep.argmax_basis.angles())
 
 
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _finish(report: RunReport, config: ExperimentConfig, files: dict, t0: float) -> RunReport:
-    report.elapsed_s = time.perf_counter() - t0
-    _write(files, config.out_dir, "report.json", _json_text(report.to_json()))
-    if config.write_timing:
-        _write(files, config.out_dir, "timing.json",
-               _json_text({"elapsed_s": report.elapsed_s}))
-    report.files = files
+def _report(experiment: str, config: ExperimentConfig, t0: float, tables: dict, rows: list,
+            summary: dict, cross_check_max: float) -> RunReport:
+    """The run's report.  With an output directory it writes, in this order,
+    each table of ``tables`` (file name -> (header, rows), through _csv),
+    report.json and, when timing is on, timing.json; elapsed_s is read after
+    the tables are written."""
+    files = {}
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        names = [*tables, "report.json", *(["timing.json"] if config.write_timing else [])]
+        files = {name: str(out / name) for name in names}
+        for name, (header, table_rows) in tables.items():
+            (out / name).write_text(_csv(header, table_rows))
+    report = RunReport(experiment=experiment, rows=rows, summary=summary, files=files,
+                       cross_check_max=cross_check_max, elapsed_s=time.perf_counter() - t0)
+    if files:
+        Path(files["report.json"]).write_text(_json_text(report.to_json()))
+        if config.write_timing:
+            Path(files["timing.json"]).write_text(_json_text({"elapsed_s": report.elapsed_s}))
     return report
 
 
@@ -244,9 +267,7 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     """Witness plus expansion-order correlations for the three initial states."""
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
-    rows, files = [], {}
-    witness_lines = ["state,W,o1,o2,o3,o4,mode,normalization"]
-    corr_lines = ["state_id,I,Q,C,units,theta_a,phi_a,theta_b,phi_b"]
+    rows, witness_rows, corr_rows = [], [], []
     cross_max = 0.0
     for kind in config.state_kinds:
         dev = _prepare(kind, config, noise_rng)
@@ -255,14 +276,11 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
         cross_max = max(cross_max, gap)
         corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
-        o = ",".join(f"{v:.12g}" for v in rep.o)
-        witness_lines.append(f"{kind},{rep.w:.12g},{o},{rep.mode},{rep.normalization}")
-        corr_lines.append(corr.csv_row(kind))
-    _write(files, config.out_dir, "witness.csv", "\n".join(witness_lines) + "\n")
-    _write(files, config.out_dir, "correlations.csv", "\n".join(corr_lines) + "\n")
-    report = RunReport(experiment="fig2", rows=rows, summary={}, files=files,
-                       cross_check_max=cross_max, elapsed_s=0.0)
-    return _finish(report, config, files, t0)
+        witness_rows.append((kind, rep.w, *rep.o, rep.mode, rep.normalization))
+        corr_rows.append(_correlation_row(kind, corr))
+    tables = {"witness.csv": ("state,W,o1,o2,o3,o4,mode,normalization", witness_rows),
+              "correlations.csv": (_CORRELATION_HEADER, corr_rows)}
+    return _report("fig2", config, t0, tables, rows, {}, cross_max)
 
 
 def run_fig3(config: ExperimentConfig) -> RunReport:
@@ -270,29 +288,23 @@ def run_fig3(config: ExperimentConfig) -> RunReport:
     from the ideal targets."""
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
-    rows, files = [], {}
-    element_lines = ["state,row,col,re,im"]
-    distance_lines = ["state,normalized_trace_distance"]
+    rows, element_rows, distance_rows = [], [], []
     for kind in config.state_kinds:
         dev = _prepare(kind, config, noise_rng)
         ideal = prepare_deviation(kind, config.params)
         dist = normalized_trace_distance(ideal, dev)
-        for i in range(4):
-            for j in range(4):
-                v = dev.delta[i, j]
-                element_lines.append(f"{kind},{i},{j},{v.real:.12g},{v.imag:.12g}")
-        distance_lines.append(f"{kind},{dist:.12g}")
+        element_rows += [(kind, i, j, dev.delta[i, j].real, dev.delta[i, j].imag)
+                         for i in range(4) for j in range(4)]
+        distance_rows.append((kind, dist))
         rows.append({
             "state": kind,
             "delta_re": dev.delta.real.tolist(),
             "delta_im": dev.delta.imag.tolist(),
             "distance_to_ideal": dist,
         })
-    _write(files, config.out_dir, "deviation_elements.csv", "\n".join(element_lines) + "\n")
-    _write(files, config.out_dir, "distances.csv", "\n".join(distance_lines) + "\n")
-    report = RunReport(experiment="fig3", rows=rows, summary={}, files=files,
-                       cross_check_max=0.0, elapsed_s=0.0)
-    return _finish(report, config, files, t0)
+    tables = {"deviation_elements.csv": ("state,row,col,re,im", element_rows),
+              "distances.csv": ("state,normalized_trace_distance", distance_rows)}
+    return _report("fig3", config, t0, tables, rows, {}, 0.0)
 
 
 def run_fig4(config: ExperimentConfig) -> RunReport:
@@ -300,7 +312,6 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     correlation quantifiers at t_n = n * delta_t."""
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
-    files = {}
     dev = _prepare("QC", config, noise_rng)
     *_, cross_max = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
                                               config.normalization, config.params.epsilon, False)
@@ -314,22 +325,18 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
                                                                  DECAY_FRACTION * c0),
         "classicality_bound": CLASSICALITY_BOUND,
     }
-    rows = [
-        {"t_s": float(series.times[k]), "W": float(series.witness_values[k]),
-         "I": float(series.mutual_info[k]), "Q": float(series.quantum[k]),
-         "C": float(series.classical[k])}
-        for k in range(len(series.times))
-    ]
-    _write(files, config.out_dir, "dynamics.csv", series.to_csv())
-    report = RunReport(experiment="fig4", rows=rows, summary=summary, files=files,
-                       cross_check_max=cross_max, elapsed_s=0.0)
-    return _finish(report, config, files, t0)
+    columns = ("t_s", "W", "I", "Q", "C")
+    table = [tuple(map(float, r)) for r in zip(series.times, series.witness_values,
+                                                series.mutual_info, series.quantum,
+                                                series.classical)]
+    rows = [dict(zip(columns, r)) for r in table]
+    tables = {"dynamics.csv": (",".join(columns), table)}
+    return _report("fig4", config, t0, tables, rows, summary, cross_max)
 
 
 def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     """Full analysis bundle for a user-supplied state."""
     t0 = time.perf_counter()
-    files = {}
     dev, state = _read_state(state_doc)
     eps_corr = None if dev is None else discord_epsilon(dev).to_json()
 
@@ -342,12 +349,8 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
         "exact_correlations": exact.to_json(),
         "epsilon_correlations": eps_corr,
     }]
-    corr_lines = ["state_id,I,Q,C,units,theta_a,phi_a,theta_b,phi_b",
-                  exact.csv_row("custom")]
-    _write(files, config.out_dir, "custom.csv", "\n".join(corr_lines) + "\n")
-    report = RunReport(experiment="custom", rows=rows, summary={}, files=files,
-                       cross_check_max=gap, elapsed_s=0.0)
-    return _finish(report, config, files, t0)
+    tables = {"custom.csv": (_CORRELATION_HEADER, [_correlation_row("custom", exact)])}
+    return _report("custom", config, t0, tables, rows, {}, gap)
 
 
 def validate_state_doc(state_doc: dict) -> dict:

@@ -57,6 +57,7 @@ from .pauli import (
     su2,
 )
 from .states import (
+    DEFAULT_EPSILON,
     DensityMatrix,
     DeviationState,
     compose_deviation,
@@ -80,7 +81,7 @@ class SpinSystemParams:
     t2s_c: float = 0.12                # s
     pulse_pi2_h: float = 7.4e-6        # s
     pulse_pi2_c: float = 9.6e-6        # s
-    epsilon: float = 1e-5
+    epsilon: float = DEFAULT_EPSILON
     gamma_ratio: float = 3.98          # omega_H / omega_C
 
     def __post_init__(self):
@@ -151,14 +152,6 @@ class DynamicsSeries:
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-
-    def to_csv(self) -> str:
-        lines = ["t_s,W,I,Q,C"]
-        for k in range(len(self.times)):
-            row = (self.times[k], self.witness_values[k], self.mutual_info[k],
-                   self.quantum[k], self.classical[k])
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        return "\n".join(lines) + "\n"
 
     def first_time_below(self, series: str, threshold: float) -> float | None:
         values = getattr(self, series)

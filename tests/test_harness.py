@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -39,6 +40,11 @@ from oracles import perturb_deviation_kron
 
 def read(path: Path) -> str:
     return Path(path).read_text()
+
+
+# FIGURE_VARIANTS and state_documents() of the output digest's run matrix
+DIGEST = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts"
+                            / "output_digest.py"))
 
 
 class TestFig2:
@@ -559,3 +565,65 @@ class TestCli:
         report = json.loads(read(tmp_path / "report.json"))
         qc = next(r for r in report["rows"] if r["state"] == "QC")
         assert abs(qc["witness"]["W"] - 3.0) < 1e-9
+
+
+def correlation_row(state_id: str, corr: dict) -> list:
+    basis = corr["argmax_basis"]
+    return [state_id, corr["I"], corr["Q"], corr["C"], corr["units"],
+            *(basis[k] for k in ("theta_a", "phi_a", "theta_b", "phi_b"))]
+
+
+# each table's rows as its report.json rows hold them, per experiment
+TABLE_ROWS = {
+    "fig2": {
+        "witness.csv": lambda rows: [
+            [r["state"], r["witness"]["W"], *r["witness"]["o"], r["witness"]["mode"],
+             r["witness"]["normalization"]] for r in rows],
+        "correlations.csv": lambda rows: [correlation_row(r["state"], r["correlations"])
+                                          for r in rows],
+    },
+    "fig3": {
+        "deviation_elements.csv": lambda rows: [
+            [r["state"], i, j, r["delta_re"][i][j], r["delta_im"][i][j]]
+            for r in rows for i in range(4) for j in range(4)],
+        "distances.csv": lambda rows: [[r["state"], r["distance_to_ideal"]] for r in rows],
+    },
+    "fig4": {
+        "dynamics.csv": lambda rows: [[r[k] for k in ("t_s", "W", "I", "Q", "C")] for r in rows],
+    },
+    "custom": {
+        "custom.csv": lambda rows: [correlation_row("custom", rows[0]["exact_correlations"])],
+    },
+}
+
+TABLE_RUNS = {f"{fig}-{variant}": [fig, *flags] for fig in ("fig2", "fig3", "fig4")
+              for variant, flags in DIGEST["FIGURE_VARIANTS"].items()}
+TABLE_RUNS.update({f"custom-{kind}": ["custom", kind] for kind in DIGEST["state_documents"]()})
+
+
+class TestTables:
+    @pytest.mark.parametrize("argv", TABLE_RUNS.values(), ids=TABLE_RUNS.keys())
+    def test_every_table_agrees_with_its_report(self, tmp_path, capsys, argv):
+        experiment = argv[0]
+        if experiment == "custom":
+            doc = tmp_path / "state.json"
+            doc.write_text(json.dumps(DIGEST["state_documents"]()[argv[1]]))
+            argv = ["custom", str(doc)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(read(out / "report.json"))
+        tables = TABLE_ROWS[experiment]
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(tables)
+        for name, json_rows in tables.items():
+            header, *lines = read(out / name).splitlines()
+            want = json_rows(report["rows"])
+            assert len(lines) == len(want) > 0, name
+            for line, expect in zip(lines, want):
+                fields = line.split(",")
+                assert len(fields) == header.count(",") + 1 == len(expect), (name, line)
+                for field, value in zip(fields, expect):
+                    if isinstance(value, float):
+                        assert float(field) == float(f"{value:.12g}"), (name, line)
+                    else:
+                        assert field == str(value), (name, line)

@@ -625,13 +625,6 @@ class TestDynamicsSweep:
         with pytest.raises(NotAState, match=r"negative eigenvalue .* \(matrix 1 of the stack\)"):
             dynamics_sweep(DensityMatrix(IDENTITY_4 / 4), 10.0, 4, params)
 
-    def test_csv_export(self):
-        qc = prepare_state("QC", PARAMS)
-        series = dynamics_sweep(qc, 0.0557, 3, PARAMS)
-        lines = series.to_csv().strip().split("\n")
-        assert lines[0] == "t_s,W,I,Q,C"
-        assert len(lines) == 4
-
 
 class TestThermalModel:
     def test_deviation_shape(self):
