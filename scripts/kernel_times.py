@@ -3,8 +3,9 @@
 
 The inputs are those of a benchmark ``readout`` item and of a ``sweep`` step
 stack: the pulse-level QC deviation at the default parameters, its state
-I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxation stack
-at the fig4 time step.  The exact discord search runs on one seed-0 Ginibre
+I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxed Pauli
+table at the fig4 time step.  ``sweep item`` is the timed call of a
+benchmark ``sweep`` item at the default parameters and 12 steps.  The exact discord search runs on one seed-0 Ginibre
 state, the input of a ``custom`` item.  Each kernel runs once to fill the
 package's caches; its time is then the minimum, over REPEATS timeit repeats,
 of the mean time of one call, in microseconds.  The last line is the time
@@ -46,7 +47,7 @@ def kernels() -> dict:
     rho = states.compose_deviation(dev)
     direction = circuit.sample_direction(0)
     times = np.arange(SWEEP_STEPS) * SWEEP_DT
-    stack = nmr._relaxed(dev.delta, times, params, 1.0 / eps)
+    table = nmr._relaxed_table(dev.delta, times, params, 1.0 / eps)
     rng = np.random.default_rng(0)
     g = np.random.default_rng(0).standard_normal((4, 4, 2)) @ np.array([1.0, 1j])
     g = g @ g.conj().T
@@ -59,8 +60,12 @@ def kernels() -> dict:
             rho, direction, mode="circuit", normalization="thermal", epsilon=eps),
         "witness direct": lambda: circuit.witness(
             rho, direction, mode="direct", normalization="thermal", epsilon=eps),
-        f"epsilon_correlations ({SWEEP_STEPS} steps)": lambda: correlations.epsilon_correlations(stack),
-        f"_relaxed ({SWEEP_STEPS} steps)": lambda: nmr._relaxed(dev.delta, times, params, 1.0 / eps),
+        f"epsilon_correlations ({SWEEP_STEPS} steps)": lambda: correlations.epsilon_correlations(
+            table[:, 1:, 1:]),
+        f"_relaxed_table ({SWEEP_STEPS} steps)": lambda: nmr._relaxed_table(
+            dev.delta, times, params, 1.0 / eps),
+        "sweep item (prepare_state + dynamics_sweep)": lambda: nmr.dynamics_sweep(
+            nmr.prepare_state("QC", params), SWEEP_DT, SWEEP_STEPS, params),
         "perturb_deviation": lambda: harness.perturb_deviation(
             dev, harness.DEFAULT_NOISE_LEVEL, rng),
         "pulse_protocol_state": lambda: nmr.pulse_protocol_state(rho, 2, params, "finite"),
@@ -74,12 +79,12 @@ def main() -> int:
         timer = timeit.Timer(call)
         number, _ = timer.autorange()
         best = min(timer.repeat(REPEATS, number)) / number
-        print(f"{name:<32s} {best * 1e6:9.2f} us")
+        print(f"{name:<44s} {best * 1e6:9.2f} us")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     launches = [float(subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, check=True,
                                      capture_output=True, text=True).stdout)
                 for _ in range(IMPORT_LAUNCHES)]
-    print(f"{'import nmrwitness (fresh)':<32s} {statistics.median(launches) * 1e6:9.2f} us")
+    print(f"{'import nmrwitness (fresh)':<44s} {statistics.median(launches) * 1e6:9.2f} us")
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadIndex
 from .pauli import AXES, SIGMA_X, on_a, su2
-from .states import DensityMatrix, DeviationState, pauli_table
+from .states import DensityMatrix, DeviationState, from_pauli_table, pauli_table
 
 UNITARITY_TOL = 1e-12
 
@@ -31,10 +31,8 @@ _READOUT_BOUNDS = np.array([1.0, 1.0, 1.0, 2.0])
 _READOUT_LIMITS = _READOUT_BOUNDS + 1e-9
 
 # The pairs i < j of W, in the order (0, 1), (0, 2), ..., (2, 3), of all four
-# readouts (include_o4) or of the three correlations: as index arrays for a
-# stack, and as (i, j) tuples for one readout vector.
-_PAIRS = {True: np.triu_indices(4, 1), False: np.triu_indices(3, 1)}
-_PAIR_LIST = {k: tuple(zip(i.tolist(), j.tolist())) for k, (i, j) in _PAIRS.items()}
+# readouts (include_o4) or of the three correlations.
+_PAIRS = {True: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), False: ((0, 1), (0, 2), (1, 2))}
 
 # Protocol step -> (rotation axis, angle) applied to both qubits before the
 # CNOT.  The axis for step i is the one that carries sigma_i sigma_i into the
@@ -182,6 +180,12 @@ def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndar
     return (m.reshape(*m.shape[:-2], 16) @ table).real
 
 
+# STEP_OBSERVABLES on the Pauli basis: row 4 mu + nu is tr((s_mu x s_nu) A_i)/4,
+# so a flattened Pauli table R times it reads m = from_pauli_table(R).
+STEP_PAULI_OBSERVABLES = step_readout(from_pauli_table(np.eye(16).reshape(16, 4, 4)))
+STEP_PAULI_OBSERVABLES.flags.writeable = False
+
+
 def _direct_expectations(state: DensityMatrix | DeviationState, dir: WitnessDirection) -> np.ndarray:
     m, scale = _linear_input(state)
     r = pauli_table(m)
@@ -222,10 +226,10 @@ def witness_sum(
     vector (4,) or a stack of them (..., 4); see ``witness`` for the
     options.  ValueError if a readout is NaN or infinite.
 
-    Both paths add the terms left to right, pair by pair, as a loop over the
-    pairs does, so they give the same bits: one vector with Python floats,
-    which cost less than numpy calls on four numbers, and a stack with
-    add.accumulate (a plain sum may group the terms differently)."""
+    Both paths add the terms left to right, pair by pair, so they give the
+    same bits: one vector with Python floats, which cost less than numpy
+    calls on four numbers, and a stack one pair column at a time (a plain
+    sum may group the terms differently)."""
     o = np.array(o, dtype=float)
     if normalization == "thermal":
         if epsilon is None:
@@ -241,13 +245,16 @@ def witness_sum(
         if not all(map(math.isfinite, v)):
             raise ValueError(f"readouts must be finite, got {v}")
         w = 0.0
-        for i, j in _PAIR_LIST[bool(include_o4)]:
+        for i, j in _PAIRS[bool(include_o4)]:
             w += abs(v[i] * v[j])
         return o, np.float64(w)
     if not np.isfinite(o).all():
         raise ValueError("readouts must be finite")
-    i, j = _PAIRS[bool(include_o4)]
-    return o, np.add.accumulate(np.abs(o[..., i] * o[..., j]), axis=-1).take(-1, axis=-1)
+    (i, j), *rest = _PAIRS[bool(include_o4)]
+    w = np.abs(o[..., i] * o[..., j])
+    for i, j in rest:
+        w += np.abs(o[..., i] * o[..., j])
+    return o, w
 
 
 def witness(

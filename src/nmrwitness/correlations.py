@@ -124,23 +124,23 @@ def pauli_coefficients(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 # --- epsilon^2 expansion: closed form from T -------------------------------
 
 
-def _epsilon_terms(delta: np.ndarray):
-    """T, its left singular vectors and singular values, and the (..., 3)
-    triples (I, Q, C) for a deviation matrix or a (..., 4, 4) stack of them,
-    from one batched SVD."""
-    t = pauli_table(delta)[..., 1:, 1:]
+def _epsilon_terms(t: np.ndarray):
+    """Left singular vectors, singular values and the (..., 3) triples
+    (I, Q, C) of a correlation block T or a (..., 3, 3) stack of them, from
+    one batched SVD."""
     u, s, _ = np.linalg.svd(t)
     iqc = np.stack([np.sum(t * t, axis=(-2, -1)) / 2.0,
                     (s[..., 1] ** 2 + s[..., 2] ** 2) / 2.0,
                     s[..., 0] ** 2 / 2.0], axis=-1)
-    return t, u, s, iqc
+    return u, s, iqc
 
 
-def epsilon_correlations(delta: np.ndarray) -> np.ndarray:
-    """Leading-order (I, Q, C) of ``discord_epsilon`` for each deviation
-    matrix of a (..., 4, 4) stack, as a (..., 3) array in units of
-    (epsilon^2/ln2) bit (no measurement basis)."""
-    return _epsilon_terms(delta)[3]
+def epsilon_correlations(t: np.ndarray) -> np.ndarray:
+    """Leading-order (I, Q, C) of ``discord_epsilon`` for each correlation
+    block T = R[1:, 1:] of a deviation's Pauli table, given as a (..., 3, 3)
+    stack, as a (..., 3) array in units of (epsilon^2/ln2) bit (no
+    measurement basis)."""
+    return _epsilon_terms(t)[2]
 
 
 def discord_epsilon(dev: DeviationState) -> CorrelationReport:
@@ -153,7 +153,8 @@ def discord_epsilon(dev: DeviationState) -> CorrelationReport:
     projection onto the tied left subspace of the first of z, x, y that does
     not vanish, nb is along T^T na, and T = 0 reports the z basis.
     """
-    t, u, s, (i, q, c) = _epsilon_terms(dev.delta)
+    t = pauli_table(dev.delta)[1:, 1:]
+    u, s, (i, q, c) = _epsilon_terms(t)
     na = nb = _TIE_AXES[0]
     if s[0] > 0.0:
         tied = u[:, s >= s[0] * (1.0 - TIE_TOL)]

@@ -4,8 +4,9 @@ Covers the on-resonance rotating-frame dynamics (J coupling plus rf pulses),
 the composite z-rotation and CNOT sequences, gradient dephasing, T1/T2*
 relaxation channels, preparation of the documented initial states at both
 deviation and pulse level, and the relaxation sweep that traces the witness
-and the correlation quantifiers over time.  Preparation and the sweep work on
-the deviation delta of rho = I/4 + epsilon delta, never going rho -> delta.
+and the correlation quantifiers over time.  Preparation works on the
+deviation delta of rho = I/4 + epsilon delta, and the sweep on its Pauli
+table, never composing rho to extract delta back.
 
 Pulse sequences are stored in time order (first event acts first).  The rf
 convention is exp(-i * angle * (cos(phase) sx + sin(phase) sy) / 2); under it
@@ -19,10 +20,11 @@ The pulse programs are module constants (``CNOT_EVENTS``,
 read-only unitary.  The preparations run the folded program on the thermal
 deviation (``_run``), the witness steps take the unitary of gradient-free
 programs (``sequence_propagator``), and ``apply_sequence`` runs a program
-on a DensityMatrix.  Three products are cached constants of (params,
-model), the ones that callers repeat: the pulse-level deviation of each
-prepared kind, the three pulse-level witness steps (with the checked
-composite CNOT) and their readout table.  Instantaneous pulses are
+on a DensityMatrix.  The products that callers repeat are cached read-only
+constants: of (params, model), the pulse-level deviation of each prepared
+kind and its state, the three pulse-level witness steps (with the checked
+composite CNOT) and their readout table; of (kind, epsilon), the ideal
+deviation of each kind but thermal and its state.  Instantaneous pulses are
 closed-form SU(2) rotations; only the finite pulse model exponentiates a
 Hermitian generator, by ``np.linalg.eigh`` (``_expi``).
 """
@@ -36,11 +38,11 @@ import numpy as np
 
 from .circuit import (
     CNOT,
+    STEP_PAULI_OBSERVABLES,
     ProtocolReadout,
     _checked_unitary,
     _readout_table,
     protocol_state,
-    step_readout,
     witness_sum,
 )
 from .correlations import epsilon_correlations
@@ -61,7 +63,6 @@ from .states import (
     DensityMatrix,
     DeviationState,
     compose_deviation,
-    extract_deviation,
     from_pauli_table,
     pauli_table,
     trace_norm,
@@ -307,43 +308,41 @@ CNOT_EVENTS = (
 # --- relaxation ---------------------------------------------------------------
 
 
-def _qubit_relax_maps(times: np.ndarray, t1: float, t2s: float, z_eq: float) -> np.ndarray:
-    """(N, 4, 4) affine maps on one qubit's Pauli components (1, x, y, z):
-    generalized amplitude damping toward the thermal polarization z_eq at
-    rate 1/T1, plus the extra dephasing that makes the total transverse decay
-    rate exactly 1/T2*."""
-    # math.exp: numpy's vectorized exp differs from it in the last bit for
-    # about one argument in twenty.
-    f = np.array([math.exp(-t / t2s) for t in times])
-    e1 = np.array([math.exp(-t / t1) for t in times])
-    m = np.zeros((len(times), 4, 4))
-    m[:, 0, 0] = 1.0
-    m[:, 1, 1] = m[:, 2, 2] = f
-    m[:, 3, 0] = (1.0 - e1) * z_eq
-    m[:, 3, 3] = e1
+def _relax_maps(times: list, params: SpinSystemParams) -> np.ndarray:
+    """(2, N, 4, 4) affine maps M_H(t), M_C(t) on each qubit's Pauli
+    components (1, x, y, z): generalized amplitude damping toward the
+    thermal polarization z_eq at rate 1/T1, plus the extra dephasing that
+    makes the total transverse decay rate exactly 1/T2*."""
+    eps = params.epsilon
+    qubits = ((params.t1_h, params.t2s_h, 2 * eps),
+              (params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio))
+    m = np.zeros((2, len(times), 4, 4))
+    m[..., 0, 0] = 1.0
+    for mq, (t1, t2s, z_eq) in zip(m, qubits):
+        # math.exp: numpy's vectorized exp differs from it in the last bit
+        # for about one argument in twenty.
+        e1 = [math.exp(-t / t1) for t in times]
+        mq[:, 1, 1] = mq[:, 2, 2] = [math.exp(-t / t2s) for t in times]
+        mq[:, 3, 0] = [(1.0 - e) * z_eq for e in e1]
+        mq[:, 3, 3] = e1
     return m
 
 
-def _relaxed(m: np.ndarray, times: np.ndarray, params: SpinSystemParams,
-             identity: float) -> np.ndarray:
-    """The 4x4 matrix m relaxed for each time of ``times``, as one (N, 4, 4)
-    stack: R' = M_H(t) R M_C(t)^T on the Pauli table, and m itself at t = 0.
-    The affine term acts on the identity weight R[0, 0] = ``identity``: 1 for
+def _relaxed_table(m: np.ndarray, times, params: SpinSystemParams, identity: float) -> np.ndarray:
+    """The Pauli table R of the 4x4 matrix m relaxed for each time of
+    ``times``, as one real (N, 4, 4) stack R' = M_H(t) R M_C(t)^T.  The
+    affine term acts on the identity weight R[0, 0] = ``identity``: 1 for
     rho, 1/epsilon for the delta of rho = I/4 + epsilon delta (whose table
     has none); the result keeps m's own R[0, 0]."""
     times = np.asarray(times, dtype=float)
     if not np.all(times >= 0):
         raise ValueError(f"t must be nonnegative, got {times}")
-    eps = params.epsilon
-    m_h = _qubit_relax_maps(times, params.t1_h, params.t2s_h, 2 * eps)
-    m_c = _qubit_relax_maps(times, params.t1_c, params.t2s_c, 2 * eps / params.gamma_ratio)
+    m_h, m_c = _relax_maps(times.tolist(), params)
     r = pauli_table(m)
     trace, r[0, 0] = r[0, 0], identity
     r = m_h @ r @ m_c.swapaxes(-1, -2)
     r[:, 0, 0] = trace
-    out = from_pauli_table(r)
-    out[times == 0] = m
-    return out
+    return r
 
 
 def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatrix:
@@ -351,7 +350,7 @@ def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatr
     Pauli table as R' = M_H R M_C^T."""
     if t == 0:
         return rho
-    return DensityMatrix(_relaxed(rho.matrix, [t], params, 1.0)[0])
+    return DensityMatrix(from_pauli_table(_relaxed_table(rho.matrix, [t], params, 1.0))[0])
 
 
 # --- state preparation --------------------------------------------------------
@@ -423,9 +422,12 @@ _PREPARATIONS = {"pseudo_pure_11": PSEUDO_PURE_11_EVENTS,
 
 
 @functools.lru_cache(maxsize=64)
-def _pulse_deviation(kind: str, params: SpinSystemParams, model: str) -> DeviationState:
-    """The checked pulse-level deviation of ``kind``, a cached read-only
-    constant; lru_cache keeps no exception, so a failure raises every call."""
+def _pulse_prepared(kind: str, params: SpinSystemParams, model: str, composed: bool):
+    """The checked pulse-level deviation of ``kind``, or its state if
+    ``composed``, a cached read-only constant; lru_cache keeps no exception,
+    so a failure raises every call."""
+    if composed:
+        return compose_deviation(_pulse_prepared(kind, params, model, False))
     thermal = DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon)
     compose_deviation(thermal)   # NotAState if epsilon admits no thermal state
     delta = _run(thermal.delta, _segments(_PREPARATIONS[kind], params, model))
@@ -436,26 +438,44 @@ def _pulse_deviation(kind: str, params: SpinSystemParams, model: str) -> Deviati
     return DeviationState(delta=delta, epsilon=params.epsilon)
 
 
-def prepare_deviation(kind: str, params: SpinSystemParams | None = None,
-                      level: str = "deviation", model: str = "instantaneous") -> DeviationState:
-    """The deviation of a documented initial state: the ideal target at
-    deviation level; at pulse level the preparation program run on the
-    thermal deviation and checked against the target (CC has no program)."""
+@functools.lru_cache(maxsize=64)
+def _ideal_prepared(kind: str, epsilon: float, composed: bool):
+    """As ``_pulse_prepared`` for the ideal kinds but thermal, keyed by
+    epsilon alone: the T2* variants of a sweep study share one entry."""
+    dev = DeviationState(delta=_IDEAL_DEVIATIONS[kind], epsilon=epsilon)
+    return compose_deviation(dev) if composed else dev
+
+
+def _prepared(kind: str, params: SpinSystemParams | None, level: str, model: str, composed: bool):
+    """``prepare_deviation``, or ``prepare_state`` if ``composed``."""
     params = params or SpinSystemParams()
     if level not in ("deviation", "pulse"):
         raise ValueError(f"unknown level {level!r}")
     if kind == "CC" and level == "pulse":
         raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
-    if level == "deviation" or kind not in _PREPARATIONS:
-        return DeviationState(delta=ideal_deviation(kind, params), epsilon=params.epsilon)
-    return _pulse_deviation(kind, params, model)
+    if level == "pulse" and kind in _PREPARATIONS:
+        return _pulse_prepared(kind, params, model, composed)
+    if kind in _IDEAL_DEVIATIONS:
+        return _ideal_prepared(kind, params.epsilon, composed)
+    dev = DeviationState(delta=ideal_deviation(kind, params), epsilon=params.epsilon)
+    return compose_deviation(dev) if composed else dev
+
+
+def prepare_deviation(kind: str, params: SpinSystemParams | None = None,
+                      level: str = "deviation", model: str = "instantaneous") -> DeviationState:
+    """The deviation of a documented initial state: the ideal target at
+    deviation level; at pulse level the preparation program run on the
+    thermal deviation and checked against the target (CC has no program).
+    Every kind but thermal is a cached read-only constant."""
+    return _prepared(kind, params, level, model, False)
 
 
 def prepare_state(kind: str, params: SpinSystemParams | None = None,
                   level: str = "deviation", model: str = "instantaneous") -> DensityMatrix:
     """I/4 + epsilon * ``prepare_deviation(kind, params, level, model)``,
-    composed once; raises NotAState if epsilon is too large for it."""
-    return compose_deviation(prepare_deviation(kind, params, level, model))
+    cached as the deviation is; raises NotAState if epsilon is too large
+    for it."""
+    return _prepared(kind, params, level, model, True)
 
 
 # --- pulse-level witness circuit ----------------------------------------------
@@ -506,27 +526,36 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
     the witness protocol (three-readout Bell-diagonal form, normalized to the
     thermal amplitude) and the expansion-order correlation quantifiers.
 
-    It runs on delta at ``params.epsilon``: ``state0`` is a DeviationState
-    at that epsilon (EpsilonMismatch otherwise) or a DensityMatrix, whose
-    delta is extracted once.  All steps form one stack: one relaxation, one
-    circuit readout of <O_1>..<O_3> and one batched SVD, with each check
-    (deviations, positivity of I/4 + epsilon delta, readout bounds) run once.
+    It runs on the relaxed (N, 4, 4) Pauli table R of delta at
+    ``params.epsilon``: ``state0`` is a DeviationState at that epsilon
+    (EpsilonMismatch otherwise), kept as the t = 0 member, or a
+    DensityMatrix, whose relaxed table is divided by epsilon with the
+    identity weight set to zero.  The deviations are composed from R once;
+    the circuit readout of <O_1>..<O_3> and one batched SVD of the blocks
+    T = R[:, 1:, 1:] read R itself; each check (deviations, positivity of
+    I/4 + epsilon delta, readout bounds) runs once over the stack.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if not (delta_t > 0 and math.isfinite(delta_t)):
         raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     eps = params.epsilon
+    times = np.arange(n_steps) * delta_t
     if isinstance(state0, DensityMatrix):
-        state0 = extract_deviation(state0, eps)
+        r = _relaxed_table(state0.matrix, times, params, 1.0) / eps
+        r[:, 0, 0] = 0.0
+        deltas = from_pauli_table(r)
     elif state0.epsilon != eps:
         raise EpsilonMismatch(f"deviation epsilon {state0.epsilon} vs params.epsilon {eps}")
-    times = np.arange(n_steps) * delta_t
-    deltas = validate_deviations(_relaxed(state0.delta, times, params, 1.0 / eps), eps)
+    else:
+        r = _relaxed_table(state0.delta, times, params, 1.0 / eps)
+        deltas = from_pauli_table(r)
+        deltas[0] = state0.delta
+    deltas = validate_deviations(deltas, eps)
     validate_states(IDENTITY_4 / 4.0 + eps * deltas)   # a check only; no value is read from rho
-    _, w = witness_sum(ProtocolReadout(o=eps * step_readout(deltas)).o, normalization="thermal",
-                       epsilon=eps, include_o4=False)
-    iqc = epsilon_correlations(deltas)
+    o = ProtocolReadout(o=eps * (r.reshape(n_steps, 16) @ STEP_PAULI_OBSERVABLES)).o
+    _, w = witness_sum(o, normalization="thermal", epsilon=eps, include_o4=False)
+    iqc = epsilon_correlations(r[:, 1:, 1:])
     return DynamicsSeries(
         times=times,
         witness_values=w,

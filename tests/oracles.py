@@ -12,7 +12,9 @@ the production kernel applies folded float segments.  The noise-model
 oracle is the preparation-noise draw written with ``np.kron`` and
 ``np.eye``, which the production code no longer calls.  The direct read of
 the correlations that the witness circuit must reproduce is tr(rho s_i x
-s_i) with Pauli matrices written out here, not the production Pauli table.
+s_i) with Pauli matrices written out here, not the production Pauli table,
+and the Pauli-basis readout table is tr((s_mu x s_nu) A_i) / 4 of explicit
+Kronecker products and observables A_i = U_i^dag (s_x x I) U_i.
 """
 
 import numpy as np
@@ -28,6 +30,20 @@ def pauli_pair_expectation(rho, i: int) -> float:
     tr(rho s_i x s_i) of one explicit Kronecker product."""
     s = _SIGMA[i - 1]
     return rho.expectation(np.kron(s, s))
+
+
+def pauli_readout_table(unitaries: np.ndarray) -> np.ndarray:
+    """(16, 3) table whose row 4 mu + nu, column i is tr((s_mu x s_nu) A_i) / 4
+    for A_i = U_i^dag (s_x x I) U_i of a (3, 4, 4) step stack (s_0 = I)."""
+    paulis = (np.eye(2, dtype=complex), *_SIGMA)
+    readout = np.kron(_SIGMA[0], np.eye(2))
+    table = np.zeros((16, 3))
+    for i, u in enumerate(unitaries):
+        a = u.conj().T @ readout @ u
+        for mu, p in enumerate(paulis):
+            for nu, q in enumerate(paulis):
+                table[4 * mu + nu, i] = np.trace(np.kron(p, q) @ a).real / 4
+    return table
 
 
 def spinor_pair(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from nmrwitness.circuit import (
     CNOT,
     PROTOCOL_ROTATIONS,
     STEP_OBSERVABLES,
+    STEP_PAULI_OBSERVABLES,
     STEP_UNITARIES,
     ProtocolReadout,
     _checked_unitary,
@@ -41,7 +42,7 @@ from nmrwitness.nmr import (
 from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
-from oracles import pauli_pair_expectation
+from oracles import pauli_pair_expectation, pauli_readout_table
 
 
 class TestRotation:
@@ -203,6 +204,21 @@ class TestLinearReadout:
                                        for v in u] + [o4])
             got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, table).o
             assert np.max(np.abs(got - want)) <= 1e-15 * epsilon
+
+    def test_pauli_basis_table_matches_the_oracle(self):
+        assert STEP_PAULI_OBSERVABLES.shape == (16, 3)
+        with pytest.raises(ValueError):
+            STEP_PAULI_OBSERVABLES[0, 0] = 0.0
+        assert np.max(np.abs(STEP_PAULI_OBSERVABLES - pauli_readout_table(STEP_UNITARIES))) <= 1e-15
+
+    def test_pauli_basis_table_reads_the_pauli_table(self, rng):
+        # the sweep reads its relaxed Pauli tables without composing m
+        for _ in range(20):
+            m = random_traceless_hermitian(rng)
+            got = pauli_table(m).reshape(16) @ STEP_PAULI_OBSERVABLES
+            want = [np.trace(v @ m @ v.conj().T @ np.kron(SIGMA_X, IDENTITY_2)).real
+                    for v in STEP_UNITARIES]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(m))
 
     @pytest.mark.parametrize("model", ["instantaneous", "finite"])
     def test_witness_circuit_mode_reads_the_given_table(self, model, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from nmrwitness.nmr import (
     Z_ROTATION_EVENTS,
     PulseEvent,
     SpinSystemParams,
+    _relax_maps,
     apply_sequence,
     delay,
     dynamics_sweep,
@@ -335,7 +337,7 @@ class TestCachedPropagators:
             raise AssertionError("matrix exponential called by the instantaneous model")
 
         monkeypatch.setattr(nmr, "_expi", no_expm)
-        for cached in (nmr.pulse_step_unitaries, nmr.pulse_step_observables, nmr._pulse_deviation):
+        for cached in (nmr.pulse_step_unitaries, nmr.pulse_step_observables, nmr._pulse_prepared):
             cached.cache_clear()
         prepare_state("QC", PARAMS, level="pulse")
         pulse_step_observables(PARAMS)
@@ -428,6 +430,30 @@ class TestRelax:
             assert abs(np.trace(out.matrix).real - 1) < 1e-12
             assert np.linalg.eigvalsh(out.matrix).min() > -1e-10
 
+    @staticmethod
+    def _qubit_maps(times, t1, t2s, z_eq):
+        # the per-qubit form the fused build replaced, one qubit at a time
+        f = np.array([math.exp(-t / t2s) for t in times])
+        e1 = np.array([math.exp(-t / t1) for t in times])
+        m = np.zeros((len(times), 4, 4))
+        m[:, 0, 0] = 1.0
+        m[:, 1, 1] = m[:, 2, 2] = f
+        m[:, 3, 0] = (1.0 - e1) * z_eq
+        m[:, 3, 3] = e1
+        return m
+
+    @pytest.mark.parametrize("n_steps", range(8, 17))
+    def test_fused_relax_maps_equal_the_per_qubit_form(self, n_steps):
+        times = np.arange(n_steps) * 0.0557
+        for scale_h, scale_c, epsilon in ((1.0, 1.0, 1e-5), (0.5, 2.0, 1e-5), (1.7, 0.6, 0.2)):
+            params = dataclasses.replace(PARAMS, t2s_h=PARAMS.t2s_h * scale_h,
+                                         t2s_c=PARAMS.t2s_c * scale_c, epsilon=epsilon)
+            m_h, m_c = _relax_maps(times.tolist(), params)
+            want_h = self._qubit_maps(times, params.t1_h, params.t2s_h, 2 * epsilon)
+            want_c = self._qubit_maps(times, params.t1_c, params.t2s_c,
+                                      2 * epsilon / params.gamma_ratio)
+            assert m_h.tobytes() == want_h.tobytes() and m_c.tobytes() == want_c.tobytes()
+
 
 class TestPrepareState:
     def test_deviation_level_targets(self):
@@ -500,6 +526,45 @@ class TestPrepareState:
             dev = prepare_deviation(kind, PARAMS, level=level)
             rho = prepare_state(kind, PARAMS, level=level)
             assert np.array_equal(rho.matrix, IDENTITY_4 / 4 + PARAMS.epsilon * dev.delta)
+
+    def test_ideal_kinds_are_cached_by_kind_and_epsilon(self):
+        # one entry serves every T2* variant of a sweep study
+        other = dataclasses.replace(PARAMS, t2s_h=0.2, t2s_c=0.05)
+        dev, rho = prepare_deviation("QC", PARAMS), prepare_state("QC", PARAMS)
+        assert prepare_deviation("QC", other) is dev and prepare_state("QC", other) is rho
+        with pytest.raises(ValueError):
+            dev.delta[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        eps2 = dataclasses.replace(PARAMS, epsilon=2 * PARAMS.epsilon)
+        assert prepare_deviation("QC", eps2).epsilon == eps2.epsilon
+        assert prepare_state("QC", eps2) is not rho
+
+    def test_pulse_level_state_is_a_cached_constant(self):
+        rho = prepare_state("QC", PARAMS, level="pulse")
+        assert prepare_state("QC", PARAMS, level="pulse") is rho
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+
+    def test_too_large_epsilon_fails_on_every_call(self):
+        # the QC deviation has eigenvalue -1/2, so I/4 + epsilon delta is no
+        # state above epsilon = 1/2; lru_cache keeps no exception
+        params = dataclasses.replace(PARAMS, epsilon=0.6)
+        for _ in range(2):
+            with pytest.raises(NotAState):
+                prepare_state("QC", params)
+        assert prepare_deviation("QC", params).epsilon == 0.6
+
+    def test_thermal_is_not_cached_and_follows_gamma_ratio(self):
+        other = dataclasses.replace(PARAMS, gamma_ratio=2.0)
+        for params in (PARAMS, other):
+            dev = prepare_deviation("thermal", params)
+            assert np.array_equal(dev.delta, thermal_deviation(params))
+            assert prepare_deviation("thermal", params) is not dev
+            assert np.array_equal(prepare_state("thermal", params).matrix,
+                                  IDENTITY_4 / 4 + params.epsilon * thermal_deviation(params))
+        assert not np.array_equal(prepare_deviation("thermal", other).delta,
+                                  prepare_deviation("thermal", PARAMS).delta)
 
     def test_pulse_level_needs_a_thermal_state(self):
         # At epsilon = 0.45 the thermal form I/4 + epsilon delta is not a
@@ -609,6 +674,11 @@ class TestDynamicsSweep:
         dev = DeviationState(delta=ideal_deviation("QC", PARAMS), epsilon=2 * PARAMS.epsilon)
         with pytest.raises(EpsilonMismatch):
             dynamics_sweep(dev, 0.0557, 4, PARAMS)
+
+    def test_deviation_input_is_the_t0_member(self):
+        for dev in (prepare_deviation("QC", PARAMS), prepare_deviation("QC", PARAMS, level="pulse")):
+            series = dynamics_sweep(dev, 0.0557, 12, PARAMS)
+            assert series.deviations[0].delta.tobytes() == dev.delta.tobytes()
 
     def test_density_matrix_and_deviation_inputs_agree(self):
         a = dynamics_sweep(prepare_state("QC", PARAMS), 0.0557, 12, PARAMS)
