@@ -4,13 +4,11 @@ correlations in two-qubit room-temperature NMR states."""
 __version__ = "0.1.0"
 
 from .circuit import (
-    ProtocolReadout,
     WitnessDirection,
     WitnessReport,
     protocol_state,
     readout_sigma_x_a,
     rotation,
-    run_protocol,
     sample_direction,
     witness,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex
+from .errors import BadIndex, EpsilonMismatch
 from .pauli import AXES, SIGMA_X, on_a, su2
 from .states import DensityMatrix, DeviationState, from_pauli_table, pauli_table
 
@@ -61,25 +61,6 @@ class WitnessDirection:
                 raise ValueError(f"{name} must be unit norm, |{name}|^2 = {v @ v}")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class ProtocolReadout:
-    """Expectations <O_1>..<O_4> of one state, shape (4,), or the first k of
-    a stack of states, shape (..., k), in units of rho; ValueError names the
-    first readout over its bound or not a number."""
-
-    o: np.ndarray
-
-    def __post_init__(self):
-        o = np.array(self.o, dtype=float)
-        # "<=", so that a NaN, for which every comparison is False, fails
-        within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
-        if not within.all():
-            k = np.unravel_index(int(np.argmin(within)), within.shape)
-            raise ValueError(f"readout {o[k]} exceeds its bound {_READOUT_BOUNDS[k[-1]]}")
-        o.flags.writeable = False
-        object.__setattr__(self, "o", o)
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -128,7 +109,8 @@ STEP_OBSERVABLES = _readout_table(STEP_UNITARIES)
 def protocol_state(rho: DensityMatrix, i: int,
                    unitaries: np.ndarray = STEP_UNITARIES) -> DensityMatrix:
     """xi_i = U_i rho U_i^dag, the state ``step_readout`` reads at step i;
-    ``unitaries`` is the (3, 4, 4) step stack, as in ``run_protocol``."""
+    ``unitaries`` is the (3, 4, 4) step stack whose readout table is
+    ``witness``'s ``table``."""
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
     u = unitaries[i - 1]
@@ -138,6 +120,20 @@ def protocol_state(rho: DensityMatrix, i: int,
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
     """x-magnetization of qubit a, tr(xi . sigma_x x I)."""
     return xi.expectation(_SIGMA_X_A)
+
+
+def _checked_readouts(o) -> np.ndarray:
+    """Readouts <O_1>..<O_4> of one state, shape (4,), or the first k of a
+    stack of states, shape (..., k), in units of rho, as a read-only float
+    array; ValueError names the first readout over its bound or not a number."""
+    o = np.array(o, dtype=float)
+    # "<=", so that a NaN, for which every comparison is False, fails
+    within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
+    if not within.all():
+        k = np.unravel_index(int(np.argmin(within)), within.shape)
+        raise ValueError(f"readout {o[k]} exceeds its bound {_READOUT_BOUNDS[k[-1]]}")
+    o.flags.writeable = False
+    return o
 
 
 def _o4(r: np.ndarray, dir: WitnessDirection) -> float:
@@ -153,24 +149,6 @@ def sample_direction(seed: int) -> WitnessDirection:
     return WitnessDirection(z=z / np.linalg.norm(z), w=w / np.linalg.norm(w))
 
 
-def _linear_input(state: DensityMatrix | DeviationState) -> tuple[np.ndarray, float]:
-    """(m, scale) = (rho, 1) or (delta, epsilon); a traceless readout of state is scale x m's."""
-    return (state.delta, state.epsilon) if isinstance(state, DeviationState) else (state.matrix, 1.0)
-
-
-def run_protocol(state: DensityMatrix | DeviationState, dir: WitnessDirection,
-                 table: np.ndarray = STEP_OBSERVABLES) -> ProtocolReadout:
-    """Execute the three circuit runs plus the local O_4 read of rho or delta.
-    ``table`` is the (16, 3) readout table of a step stack: the ideal gates
-    by default, or a pulse-level realization (``nmr.pulse_step_observables``)."""
-    m, scale = _linear_input(state)
-    o = np.empty(4)
-    o[:3] = step_readout(m, table)
-    o[3] = _o4(pauli_table(m), dir)
-    o *= scale
-    return ProtocolReadout(o=o)
-
-
 def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndarray:
     """<O_1>..<O_3> = tr(m A_i) of one 4x4 matrix or of a stack (..., 4, 4):
     one product of the flattened (..., 16) matrices with the (16, 3)
@@ -184,16 +162,6 @@ def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndar
 # so a flattened Pauli table R times it reads m = from_pauli_table(R).
 STEP_PAULI_OBSERVABLES = step_readout(from_pauli_table(np.eye(16).reshape(16, 4, 4)))
 STEP_PAULI_OBSERVABLES.flags.writeable = False
-
-
-def _direct_expectations(state: DensityMatrix | DeviationState, dir: WitnessDirection) -> np.ndarray:
-    m, scale = _linear_input(state)
-    r = pauli_table(m)
-    o = np.empty(4)
-    o[:3] = r.diagonal()[1:]
-    o[3] = _o4(r, dir)
-    o *= scale
-    return o
 
 
 @dataclass(frozen=True)
@@ -276,23 +244,42 @@ def witness(
     a classical z-basis mixture with zero discord whose W is positive
     through the O_4 terms.
 
-    ``mode='circuit'`` reads <O_1>..<O_3> through ``run_protocol`` with the
-    readout ``table`` of a step stack (the ideal gates by default, or
-    ``nmr.pulse_step_observables``); ``mode='direct'`` reads the plain
-    expectations and ignores ``table``.
+    The state is read once: rho, or the deviation delta of a
+    DeviationState, whose traceless readouts are epsilon times delta's.
+    ``mode='circuit'`` reads <O_1>..<O_3> = tr(m A_i) with the readout
+    ``table`` of a step stack (the ideal gates by default, or
+    ``nmr.pulse_step_observables``) and checks each readout against its
+    bound (ValueError); ``mode='direct'`` reads the diagonal of the Pauli
+    table, ignores ``table`` and checks nothing.  The two correlation reads
+    share no code, so comparing them checks the circuit; both modes take
+    <O_4> = z.a + w.b from the Pauli table.
 
     ``normalization='thermal'`` divides every expectation by the thermal
     hydrogen magnetization 2*epsilon (positive and finite) before forming
     the products, matching spectra normalized against the equilibrium
-    reference.  With ``include_o4=False`` the O_4 cross terms are dropped,
-    which is the three-measurement protocol actually run on Bell-diagonal
-    states (where <O_4> vanishes identically).
+    reference.  A DeviationState carries its epsilon, so ``epsilon`` may be
+    left out; a different one raises EpsilonMismatch.  A DensityMatrix
+    needs ``epsilon`` for the thermal normalization.  With
+    ``include_o4=False`` the O_4 cross terms are dropped, which is the
+    three-measurement protocol actually run on Bell-diagonal states (where
+    <O_4> vanishes identically).
     """
-    if mode == "circuit":
-        o = run_protocol(state, dir, table).o
-    elif mode == "direct":
-        o = _direct_expectations(state, dir)
-    else:
+    if mode not in ("circuit", "direct"):
         raise ValueError(f"mode must be 'circuit' or 'direct', got {mode!r}")
+    if isinstance(state, DeviationState):
+        if epsilon is None:
+            epsilon = state.epsilon
+        elif epsilon != state.epsilon:
+            raise EpsilonMismatch(f"epsilon {epsilon} vs the deviation's epsilon {state.epsilon}")
+        m, scale = state.delta, state.epsilon
+    else:
+        m, scale = state.matrix, 1.0
+    r = pauli_table(m)
+    o = np.empty(4)
+    o[:3] = step_readout(m, table) if mode == "circuit" else r.diagonal()[1:]
+    o[3] = _o4(r, dir)
+    o *= scale
+    if mode == "circuit":
+        o = _checked_readouts(o)
     o, w = witness_sum(o, normalization, epsilon, include_o4)
     return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)

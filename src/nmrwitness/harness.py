@@ -21,7 +21,7 @@ from .correlations import (
     mutual_information,
     symmetric_discord,
 )
-from .errors import check_config, is_finite, is_int
+from .errors import BadDocument, check_config, is_finite, is_int
 from .nmr import (
     SpinSystemParams,
     dynamics_sweep,
@@ -183,30 +183,26 @@ def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
 
 
 def _witness_with_cross_check(state: DeviationState | DensityMatrix, seeds: tuple,
-                              table: np.ndarray, normalization: str,
-                              epsilon: float | None, include_o4: bool):
-    """(best circuit report, direct report of its seed, worst gap): the
-    witness over the direction ``seeds``, read in circuit mode with the
-    readout ``table`` and in direct mode, with the largest circuit vs
-    direct readout gap over all seeds; CrossCheckFailure when that gap
-    exceeds CROSS_CHECK_TOL.  The gap is in thermal units for a deviation
-    (a raw gap is divided by 2 epsilon) and in units of rho for a
-    DensityMatrix."""
-    best = None
-    worst_gap = 0.0
-    for s in seeds:
-        direction = sample_direction(s)
-        circuit, direct = (witness(state, direction, mode, normalization, epsilon, include_o4,
-                                   seed=s, table=table) for mode in ("circuit", "direct"))
-        worst_gap = max(worst_gap, float(np.max(np.abs(circuit.o - direct.o))))
-        if best is None or circuit.w > best[0].w:
-            best = circuit, direct
+                              table: np.ndarray, normalization: str, include_o4: bool):
+    """(best circuit report, direct report of its seed, gap): the witness
+    over the direction ``seeds``, read in circuit mode with the readout
+    ``table`` (the first seed of the largest W wins), then in direct mode at
+    the winning seed; CrossCheckFailure when the largest circuit vs direct
+    readout gap exceeds CROSS_CHECK_TOL.  The gap is one per state: the
+    correlation readouts take no direction, and both modes read <O_4> alike.
+    It is in thermal units for a deviation (a raw gap is divided by
+    2 epsilon) and in units of rho for a DensityMatrix."""
+    directions = {s: sample_direction(s) for s in seeds}
+    circuit = max((witness(state, d, "circuit", normalization, include_o4=include_o4, seed=s,
+                           table=table) for s, d in directions.items()), key=lambda rep: rep.w)
+    direct = witness(state, directions[circuit.seed], "direct", normalization,
+                     include_o4=include_o4, seed=circuit.seed)
+    gap = float(np.max(np.abs(circuit.o - direct.o)))
     if normalization == "raw" and isinstance(state, DeviationState):
-        worst_gap /= 2.0 * state.epsilon
-    if worst_gap > CROSS_CHECK_TOL:
-        raise CrossCheckFailure(
-            f"circuit vs direct readout gap {worst_gap:.3e} exceeds {CROSS_CHECK_TOL}")
-    return *best, worst_gap
+        gap /= 2.0 * state.epsilon
+    if gap > CROSS_CHECK_TOL:
+        raise CrossCheckFailure(f"circuit vs direct readout gap {gap:.3e} exceeds {CROSS_CHECK_TOL}")
+    return circuit, direct, gap
 
 
 def _circuit_table(config: ExperimentConfig) -> np.ndarray:
@@ -272,7 +268,7 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     for kind in config.state_kinds:
         dev = _prepare(kind, config, noise_rng)
         rep, _, gap = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
-                                                config.normalization, config.params.epsilon, True)
+                                                config.normalization, True)
         cross_max = max(cross_max, gap)
         corr = discord_epsilon(dev)
         rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
@@ -314,7 +310,7 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     noise_rng = np.random.default_rng(config.seed)
     dev = _prepare("QC", config, noise_rng)
     *_, cross_max = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
-                                              config.normalization, config.params.epsilon, False)
+                                              config.normalization, False)
     series = dynamics_sweep(dev, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
@@ -341,7 +337,7 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     eps_corr = None if dev is None else discord_epsilon(dev).to_json()
 
     circuit_rep, direct_rep, gap = _witness_with_cross_check(
-        state, config.seeds(), STEP_OBSERVABLES, "raw", None, True)
+        state, config.seeds(), STEP_OBSERVABLES, "raw", True)
     exact = symmetric_discord(state)
     rows = [{
         "witness_circuit": circuit_rep.to_json(),
@@ -373,5 +369,5 @@ def run_experiment(config: ExperimentConfig, state_doc: dict | None = None) -> R
         return run_fig4(config)
     # custom, the one experiment left: ExperimentConfig rejects any other
     if state_doc is None:
-        raise ValueError("custom experiment needs a state document")
+        raise BadDocument("custom experiment needs a state document")
     return run_custom(config, state_doc)

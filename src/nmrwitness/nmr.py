@@ -39,7 +39,7 @@ import numpy as np
 from .circuit import (
     CNOT,
     STEP_PAULI_OBSERVABLES,
-    ProtocolReadout,
+    _checked_readouts,
     _checked_unitary,
     _readout_table,
     protocol_state,
@@ -506,7 +506,7 @@ def pulse_step_unitaries(params: SpinSystemParams, model: str = "instantaneous")
 @functools.lru_cache(maxsize=64)
 def pulse_step_observables(params: SpinSystemParams, model: str = "instantaneous") -> np.ndarray:
     """The cached read-only (16, 3) readout table of ``pulse_step_unitaries``,
-    which ``circuit.run_protocol`` reads like the ideal ``STEP_OBSERVABLES``."""
+    which ``circuit.witness`` reads like the ideal ``STEP_OBSERVABLES``."""
     return _readout_table(pulse_step_unitaries(params, model))
 
 
@@ -553,7 +553,7 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
         deltas[0] = state0.delta
     deltas = validate_deviations(deltas, eps)
     validate_states(IDENTITY_4 / 4.0 + eps * deltas)   # a check only; no value is read from rho
-    o = ProtocolReadout(o=eps * (r.reshape(n_steps, 16) @ STEP_PAULI_OBSERVABLES)).o
+    o = _checked_readouts(eps * (r.reshape(n_steps, 16) @ STEP_PAULI_OBSERVABLES))
     _, w = witness_sum(o, normalization="thermal", epsilon=eps, include_o4=False)
     iqc = epsilon_correlations(r[:, 1:, 1:])
     return DynamicsSeries(

@@ -14,11 +14,11 @@ from nmrwitness import (
     from_bloch,
     partial_trace,
     pauli_table,
+    prepare_deviation,
     prepare_state,
     protocol_state,
     readout_sigma_x_a,
     rotation,
-    run_protocol,
     sample_direction,
     symmetric_discord,
     witness,
@@ -29,11 +29,11 @@ from nmrwitness.circuit import (
     STEP_OBSERVABLES,
     STEP_PAULI_OBSERVABLES,
     STEP_UNITARIES,
-    ProtocolReadout,
+    _checked_readouts,
     _checked_unitary,
     witness_sum,
 )
-from nmrwitness.errors import BadIndex
+from nmrwitness.errors import BadIndex, EpsilonMismatch
 from nmrwitness.nmr import (
     SpinSystemParams,
     pulse_step_observables,
@@ -169,7 +169,7 @@ def _step_stack(name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestLinearReadout:
-    """run_protocol reads tr(m A_i) from the constant readout table of
+    """witness reads tr(m A_i) from the constant readout table of
     A_i = U_i^dag (sigma_x x I) U_i; the Schrodinger-picture protocol_state
     + readout_sigma_x_a on the step unitaries is its check."""
 
@@ -178,7 +178,7 @@ class TestLinearReadout:
         u, table = _step_stack(stack)
         for _ in range(50):
             rho = random_density_matrix(rng)
-            got = run_protocol(rho, sample_direction(1), table).o[:3]
+            got = witness(rho, sample_direction(1), table=table).o[:3]
             want = [readout_sigma_x_a(protocol_state(rho, i, u)) for i in (1, 2, 3)]
             assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -202,7 +202,7 @@ class TestLinearReadout:
                      for k, s in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)))
             want = epsilon * np.array([np.trace(v @ delta @ v.conj().T @ np.kron(SIGMA_X, IDENTITY_2)).real
                                        for v in u] + [o4])
-            got = run_protocol(DeviationState(delta=delta, epsilon=epsilon), direction, table).o
+            got = witness(DeviationState(delta=delta, epsilon=epsilon), direction, table=table).o
             assert np.max(np.abs(got - want)) <= 1e-15 * epsilon
 
     def test_pauli_basis_table_matches_the_oracle(self):
@@ -228,29 +228,29 @@ class TestLinearReadout:
             for state in (random_density_matrix(rng),
                           DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)):
                 got = witness(state, direction, "circuit", table=table).o
-                assert got.tobytes() == run_protocol(state, direction, table).o.tobytes()
+                assert got.tobytes() == witness(state, direction, table=table).o.tobytes()
                 if model == "finite":    # off the ideal gates by about 1e-3
                     assert not np.array_equal(got, witness(state, direction, "circuit").o)
 
     def test_readout_bounds_are_checked(self):
-        assert ProtocolReadout(o=[1.0, -1.0, 0.5, 2.0]).o.tolist() == [1.0, -1.0, 0.5, 2.0]
+        assert _checked_readouts([1.0, -1.0, 0.5, 2.0]).tolist() == [1.0, -1.0, 0.5, 2.0]
         with pytest.raises(ValueError, match="exceeds its bound 1.0"):
-            ProtocolReadout(o=[0.0, 1.1, 0.0, 0.0])
+            _checked_readouts([0.0, 1.1, 0.0, 0.0])
         with pytest.raises(ValueError, match="exceeds its bound 2.0"):
-            ProtocolReadout(o=[0.0, 0.0, 0.0, -2.5])
+            _checked_readouts([0.0, 0.0, 0.0, -2.5])
         with pytest.raises(ValueError, match="exceeds its bound 1.0"):
-            ProtocolReadout(o=np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]))
+            _checked_readouts(np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_readout_must_be_finite(self, bad):
         with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 1.0"):
-            ProtocolReadout(o=[bad, 0.0, 0.0, 0.0])
+            _checked_readouts([bad, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 2.0"):
-            ProtocolReadout(o=[0.0, 0.0, 0.0, bad])
+            _checked_readouts([0.0, 0.0, 0.0, bad])
         stack = np.full((3, 2, 3), 0.5)
         stack[2, 1, 0] = bad
         with pytest.raises(ValueError, match=f"readout {bad} exceeds its bound 1.0"):
-            ProtocolReadout(o=stack)
+            _checked_readouts(stack)
 
 
 class TestReadout:
@@ -385,6 +385,27 @@ class TestWitness:
         with pytest.raises(ValueError, match="epsilon"):
             witness_sum([1e-5, 1e-5, -1e-5, 0.0], normalization="thermal", epsilon=epsilon)
 
+    @pytest.mark.parametrize("mode", ["circuit", "direct"])
+    @pytest.mark.parametrize("include_o4", [True, False])
+    def test_deviation_carries_its_epsilon(self, mode, include_o4, rng):
+        for dev in (prepare_deviation("QC", SpinSystemParams()),
+                    DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)):
+            for seed in range(5):
+                d = sample_direction(seed)
+                got = witness(dev, d, mode, "thermal", include_o4=include_o4)
+                want = witness(dev, d, mode, "thermal", dev.epsilon, include_o4)
+                assert got.o.tobytes() == want.o.tobytes() and got.w == want.w
+
+    def test_deviation_rejects_another_epsilon(self):
+        # the ideal QC deviation at 1e-5 reads W = 3 in thermal units; read
+        # at 1e-3 it would give 3e-4 with no sign of the mix-up
+        dev = prepare_deviation("QC", SpinSystemParams(epsilon=1e-5))
+        assert abs(witness(dev, sample_direction(0), normalization="thermal").w - 3.0) < 1e-9
+        for normalization in ("thermal", "raw"):
+            for mode in ("circuit", "direct"):
+                with pytest.raises(EpsilonMismatch, match="1e-05"):
+                    witness(dev, sample_direction(0), mode, normalization, epsilon=1e-3)
+
     @staticmethod
     def _pair_loop(o: np.ndarray, include_o4: bool):
         """W as a nested loop over the pairs i < j, adding left to right."""
@@ -440,5 +461,5 @@ class TestWitness:
         assert doc["seed"] == 4 and doc["normalization"] == "raw"
 
     def test_protocol_readout_bundle(self):
-        out = run_protocol(triplet(), sample_direction(2))
+        out = witness(triplet(), sample_direction(2), table=STEP_OBSERVABLES)
         assert np.allclose(out.o[:3], [1, 1, -1], atol=1e-12)

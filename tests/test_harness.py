@@ -208,9 +208,17 @@ class TestCustomAndValidate:
         w = {s: witness(rho, sample_direction(s)).w for s in seeds}
         best = max(seeds, key=w.get)
         assert witness(rho, sample_direction(0)).w > w[best]
-        row = run_custom(ExperimentConfig(experiment="custom", direction_seeds=seeds), doc).rows[0]
+        report = run_custom(ExperimentConfig(experiment="custom", direction_seeds=seeds), doc)
+        row = report.rows[0]
         assert row["witness_circuit"]["seed"] == best == row["witness_direct"]["seed"]
         assert abs(row["witness_circuit"]["W"] - w[best]) <= 1e-12
+        # one gap per state: it does not depend on the direction seeds
+        alone = run_custom(ExperimentConfig(experiment="custom", direction_seeds=(best,)), doc)
+        assert report.cross_check_max == alone.cross_check_max
+
+    def test_custom_needs_a_state_document(self):
+        with pytest.raises(BadDocument, match="needs a state document"):
+            run_experiment(ExperimentConfig(experiment="custom"))
 
     def test_classical_sample(self):
         rho = classical_state(ClassicalSpec(probabilities=[0.5, 0, 0, 0.5]))
@@ -318,17 +326,23 @@ class TestCli:
 
     @pytest.mark.parametrize("command, fault", [
         ("fig2", "tolerance"), ("fig4", "tolerance"), ("custom", "tolerance"), ("fig2", "table"),
-        ("fig2", "raw-scaled"),
-    ], ids=["fig2", "fig4", "custom", "fig2-wrong-table", "fig2-raw-scaled"])
+        ("fig2", "raw-scaled"), ("fig2", "table-seeds"),
+    ], ids=["fig2", "fig4", "custom", "fig2-wrong-table", "fig2-raw-scaled",
+            "fig2-wrong-table-seeds"])
     def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch, capsys, command, fault):
         import nmrwitness.harness as harness
 
         argv = [command]
         if fault == "tolerance":
             monkeypatch.setattr(harness, "CROSS_CHECK_TOL", -1.0)
-        elif fault == "table":
+        elif fault.startswith("table"):
             # steps 2 and 3 read each other's correlation: QC's (1, 1, -1) reads (1, -1, 1)
             monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES[:, [0, 2, 1]])
+            if fault == "table-seeds":
+                # the direct read is at the winning seed only; the gap is the same at every seed
+                config = tmp_path / "config.json"
+                config.write_text(json.dumps({"direction_seeds": [1, 2, 3]}))
+                argv += ["--config", str(config)]
         else:
             # a 1e-4 table error gaps the raw deviation readouts by about 2e-9,
             # 1e-4 in the thermal units the gap is measured in
