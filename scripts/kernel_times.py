@@ -3,14 +3,17 @@
 
 The inputs are those of a benchmark ``readout`` item and of a ``sweep`` step
 stack: the pulse-level QC deviation at the default parameters, its state
-I/4 + epsilon delta, seed-0 witness direction and a 12-step relaxed Pauli
-table at the fig4 time step.  ``sweep item`` is the timed call of a
-benchmark ``sweep`` item at the default parameters and 12 steps.  The exact discord search runs on one seed-0 Ginibre
-state, the input of a ``custom`` item.  Each kernel runs once to fill the
-package's caches; its time is then the minimum, over REPEATS timeit repeats,
-of the mean time of one call, in microseconds.  The last line is the time
-of ``import nmrwitness`` in a fresh interpreter, the median of IMPORT_LAUNCHES
-launches:
+I/4 + epsilon delta, its finite-pulse step-2 state, seed-0 witness
+direction and a 12-step relaxed Pauli table at the fig4 time step, with its
+deviation and state stacks.  ``sweep item`` is the timed call of a
+benchmark ``sweep`` item at the default parameters and 12 steps.  The
+exact discord search runs on one seed-0 Ginibre state, the input of a
+``custom`` item.  ``witness`` reads the Pauli table that a state computes
+once and keeps, so its lines leave out the ``pauli_table`` line's cost.
+Each kernel runs once to fill the package's caches; its time is then the
+minimum, over REPEATS timeit repeats, of the mean time of one call, in
+microseconds.  The last line is the time of ``import nmrwitness`` in a
+fresh interpreter, the median of IMPORT_LAUNCHES launches:
 
     python scripts/kernel_times.py
 
@@ -48,6 +51,9 @@ def kernels() -> dict:
     direction = circuit.sample_direction(0)
     times = np.arange(SWEEP_STEPS) * SWEEP_DT
     table = nmr._relaxed_table(dev.delta, times, params, 1.0 / eps)
+    deltas = states.from_pauli_table(table)
+    rhos = np.eye(4) / 4.0 + eps * deltas
+    xi = nmr.pulse_protocol_state(rho, 2, params, "finite")
     rng = np.random.default_rng(0)
     g = np.random.default_rng(0).standard_normal((4, 4, 2)) @ np.array([1.0, 1j])
     g = g @ g.conj().T
@@ -55,7 +61,11 @@ def kernels() -> dict:
     return {
         "DensityMatrix": lambda: states.DensityMatrix(rho.matrix),
         "DeviationState": lambda: states.DeviationState(delta=dev.delta, epsilon=eps),
+        f"validate_states ({SWEEP_STEPS}-step stack)": lambda: states.validate_states(rhos),
+        f"validate_deviations ({SWEEP_STEPS}-step stack)": lambda: states.validate_deviations(
+            deltas, eps),
         "pauli_table": lambda: states.pauli_table(rho.matrix),
+        "readout_sigma_x_a": lambda: circuit.readout_sigma_x_a(xi),
         "witness circuit": lambda: circuit.witness(
             rho, direction, mode="circuit", normalization="thermal", epsilon=eps),
         "witness direct": lambda: circuit.witness(

@@ -22,13 +22,14 @@ import numpy as np
 
 from .errors import BadIndex, EpsilonMismatch
 from .pauli import AXES, SIGMA_X, on_a, su2
-from .states import DensityMatrix, DeviationState, from_pauli_table, pauli_table
+from .states import DensityMatrix, DeviationState, from_pauli_table
 
 UNITARITY_TOL = 1e-12
 
 # |<O_4>| <= |z| + |w| = 2; the correlation readouts are bounded by 1
 _READOUT_BOUNDS = np.array([1.0, 1.0, 1.0, 2.0])
 _READOUT_LIMITS = _READOUT_BOUNDS + 1e-9
+_BOUNDS_LIST, _LIMITS_LIST = _READOUT_BOUNDS.tolist(), _READOUT_LIMITS.tolist()
 
 # The pairs i < j of W, in the order (0, 1), (0, 2), ..., (2, 3), of all four
 # readouts (include_o4) or of the three correlations.
@@ -118,20 +119,30 @@ def protocol_state(rho: DensityMatrix, i: int,
 
 
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
-    """x-magnetization of qubit a, tr(xi . sigma_x x I)."""
-    return xi.expectation(_SIGMA_X_A)
+    """x-magnetization of qubit a, tr(xi . sigma_x x I), in closed form: the
+    four entries of xi that sigma_x x I picks, added in np.trace's order, so
+    the bits are those of ``xi.expectation(on_a(SIGMA_X))``."""
+    m = xi.matrix.tolist()
+    return ((m[0][2] + m[1][3]) + (m[2][0] + m[3][1])).real
 
 
 def _checked_readouts(o) -> np.ndarray:
     """Readouts <O_1>..<O_4> of one state, shape (4,), or the first k of a
     stack of states, shape (..., k), in units of rho, as a read-only float
-    array; ValueError names the first readout over its bound or not a number."""
+    array; ValueError names the first readout over its bound or not a number.
+    One state is checked on Python floats, which cost less than numpy calls
+    on four numbers."""
     o = np.array(o, dtype=float)
     # "<=", so that a NaN, for which every comparison is False, fails
-    within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
-    if not within.all():
-        k = np.unravel_index(int(np.argmin(within)), within.shape)
-        raise ValueError(f"readout {o[k]} exceeds its bound {_READOUT_BOUNDS[k[-1]]}")
+    if o.shape == (4,):
+        for v, limit, bound in zip(o.tolist(), _LIMITS_LIST, _BOUNDS_LIST):
+            if not abs(v) <= limit:
+                raise ValueError(f"readout {v} exceeds its bound {bound}")
+    else:
+        within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
+        if not within.all():
+            k = np.unravel_index(int(np.argmin(within)), within.shape)
+            raise ValueError(f"readout {o[k]} exceeds its bound {_READOUT_BOUNDS[k[-1]]}")
     o.flags.writeable = False
     return o
 
@@ -194,28 +205,31 @@ def witness_sum(
     vector (4,) or a stack of them (..., 4); see ``witness`` for the
     options.  ValueError if a readout is NaN or infinite.
 
-    Both paths add the terms left to right, pair by pair, so they give the
-    same bits: one vector with Python floats, which cost less than numpy
-    calls on four numbers, and a stack one pair column at a time (a plain
-    sum may group the terms differently)."""
-    o = np.array(o, dtype=float)
+    Both paths scale and add the terms left to right, pair by pair, so they
+    give the same bits: one vector with Python floats, which cost less than
+    numpy calls on four numbers, and a stack one pair column at a time (a
+    plain sum may group the terms differently)."""
+    o = np.asarray(o, dtype=float)
     if normalization == "thermal":
         if epsilon is None:
             raise ValueError("thermal normalization needs epsilon")
         if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError(f"thermal normalization needs a positive finite epsilon, got {epsilon}")
-        o = o / (2.0 * epsilon)
-    elif normalization != "raw":
+        scale = float(2.0 * epsilon)
+    elif normalization == "raw":
+        scale = 1.0
+    else:
         raise ValueError(f"unknown normalization {normalization!r}")
 
     if o.shape == (4,):
-        v = o.tolist()
+        v = [x / scale for x in o.tolist()]
         if not all(map(math.isfinite, v)):
             raise ValueError(f"readouts must be finite, got {v}")
         w = 0.0
         for i, j in _PAIRS[bool(include_o4)]:
             w += abs(v[i] * v[j])
-        return o, np.float64(w)
+        return np.array(v), np.float64(w)
+    o = o / scale
     if not np.isfinite(o).all():
         raise ValueError("readouts must be finite")
     (i, j), *rest = _PAIRS[bool(include_o4)]
@@ -252,7 +266,8 @@ def witness(
     bound (ValueError); ``mode='direct'`` reads the diagonal of the Pauli
     table, ignores ``table`` and checks nothing.  The two correlation reads
     share no code, so comparing them checks the circuit; both modes take
-    <O_4> = z.a + w.b from the Pauli table.
+    <O_4> = z.a + w.b from the Pauli table, which a state computes once
+    (``state.pauli``) for all its directions and both modes.
 
     ``normalization='thermal'`` divides every expectation by the thermal
     hydrogen magnetization 2*epsilon (positive and finite) before forming
@@ -271,14 +286,13 @@ def witness(
             epsilon = state.epsilon
         elif epsilon != state.epsilon:
             raise EpsilonMismatch(f"epsilon {epsilon} vs the deviation's epsilon {state.epsilon}")
-        m, scale = state.delta, state.epsilon
+        m, scale = state.delta, float(state.epsilon)
     else:
         m, scale = state.matrix, 1.0
-    r = pauli_table(m)
-    o = np.empty(4)
-    o[:3] = step_readout(m, table) if mode == "circuit" else r.diagonal()[1:]
-    o[3] = _o4(r, dir)
-    o *= scale
+    r = state.pauli
+    reads = step_readout(m, table) if mode == "circuit" else r.diagonal()[1:]
+    o = [x * scale for x in reads.tolist()]
+    o.append(float(_o4(r, dir)) * scale)
     if mode == "circuit":
         o = _checked_readouts(o)
     o, w = witness_sum(o, normalization, epsilon, include_o4)

@@ -153,7 +153,7 @@ def discord_epsilon(dev: DeviationState) -> CorrelationReport:
     projection onto the tied left subspace of the first of z, x, y that does
     not vanish, nb is along T^T na, and T = 0 reports the z basis.
     """
-    t = pauli_table(dev.delta)[1:, 1:]
+    t = dev.pauli[1:, 1:]
     u, s, (i, q, c) = _epsilon_terms(t)
     na = nb = _TIE_AXES[0]
     if s[0] > 0.0:

@@ -3,9 +3,16 @@ deviation states, Bloch-coefficient specs, and classically correlated mixtures.
 
 All types are immutable after construction and validate their invariants
 eagerly, so anything downstream can assume it holds a physical state.
+
+The validators pick their fast pass by shape: one 4x4 matrix is read as
+Python complex numbers from a single ``tolist()``, which costs less than
+numpy calls on sixteen entries; a stack is read by one fused numpy pass.
+Either way only a pass that settles every check accepts at once, and
+anything else falls through to the same per-condition checks and messages.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +70,9 @@ _LINEAR_TOL = min(HERMITICITY_TOL, TRACE_TOL) / 2
 _CERTIFICATE_BOUND = PSD_TOL + 4 * HERMITICITY_TOL
 _ONES = np.ones(4)
 
+# Flat indices (4i + j, 4j + i) of m_ij and m_ji for i <= j.
+_UPPER_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
+
 
 def _first_bad(bad: np.ndarray):
     """Index of the first flagged member of a stack (() for a single
@@ -85,22 +95,65 @@ def _as_stack(m: np.ndarray, error: type, name: str) -> np.ndarray:
     return m
 
 
-# The one numpy error state of a passing validation (about 1 us to enter):
-# without it, nan, inf or huge entries print RuntimeWarnings before the
-# per-condition checks reject them.
+def _within_tolerances(m: np.ndarray, unit_trace: bool, certify: bool = False) -> tuple:
+    """The fast pass of both validators, chosen by shape: one 4x4 matrix on
+    Python scalars, a stack by the fused numpy pass.  Returns (within,
+    certified): ``within`` True means the per-condition checks pass (with
+    trace 1 if ``unit_trace``, else 0); ``certified`` is the Gershgorin
+    certificate of ``_positivity_certified`` if ``certify`` and ``within``
+    (else False, and eigvalsh decides).  An empty stack fails both."""
+    if m.shape == (4, 4):
+        return _one_within_tolerances(m, float(unit_trace), certify)
+    return _stack_within_tolerances(m, _UNIT_TRACE if unit_trace else 0.0, certify)
+
+
+def _one_within_tolerances(m: np.ndarray, trace: float, certify: bool) -> tuple:
+    """The fused pass on one matrix, read as Python complex numbers: the
+    same reads against the same _LINEAR_TOL and the same certificate.  The
+    trace adds as np.trace does, (m00 + m11) + (m22 + m33), so near the
+    float limit it reads what the per-condition check reads.  Python floats
+    print no warnings: a NaN fails every "<=" (inf - inf is one), and an
+    abs() that overflows raises OverflowError, which leaves the matrix
+    uncertified."""
+    f = m.ravel().tolist()
+    for p, q in _UPPER_PAIRS:
+        a, b = f[p], f[q]
+        # the real and imaginary parts of m_ij - conj(m_ji)
+        if not (abs((a - b).real) <= _LINEAR_TOL and abs((a + b).imag) <= _LINEAR_TOL):
+            return False, False
+    tr = (f[0] + f[5]) + (f[10] + f[15])
+    if not (abs(tr.real - trace) <= _LINEAR_TOL and abs(tr.imag) <= _LINEAR_TOL):
+        return False, False
+    if not certify:
+        return True, False
+    try:
+        a = list(map(abs, f))
+    except OverflowError:
+        return True, False
+    # A row reads NaN (inf - inf) only with a diagonal entry near the float
+    # limit; a trace near 1 then puts another row far below the bound, and
+    # min() returns one of the two
+    low = min(2.0 * f[0].real - (a[0] + a[1] + a[2] + a[3]),
+              2.0 * f[5].real - (a[4] + a[5] + a[6] + a[7]),
+              2.0 * f[10].real - (a[8] + a[9] + a[10] + a[11]),
+              2.0 * f[15].real - (a[12] + a[13] + a[14] + a[15]))
+    return True, low >= _CERTIFICATE_BOUND
+
+
+# The one numpy error state of a passing stack validation: without it, nan,
+# inf or huge entries print RuntimeWarnings before the per-condition checks
+# reject them.  It costs about 1 us to enter, which one matrix, read on
+# Python scalars, does not pay.
 @np.errstate(invalid="ignore", over="ignore")
-def _within_tolerances(m: np.ndarray, target: np.ndarray, certify: bool = False) -> tuple:
+def _stack_within_tolerances(m: np.ndarray, target, certify: bool) -> tuple:
     """The fused pass: one matmul reads every Hermiticity residual and the
-    trace of each member of the stack, and one reduction bounds them all.
-    Returns (within, certified): ``within`` True means the per-condition
-    checks pass; ``certified`` is ``_positivity_certified`` if ``certify``
-    (meaningful once the stack is known finite and Hermitian), else False.
-    An empty stack fails both."""
+    trace of each member of the stack against ``target`` (the reads of a
+    valid member), and one reduction bounds them all."""
     if not m.size:
         return False, False
     reads = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape[:-2], 32) @ _CHECK_COLUMNS
     within = bool(np.maximum.reduce(np.abs(reads - target), axis=None) <= _LINEAR_TOL)
-    return within, certify and _positivity_certified(m)
+    return within, within and certify and _positivity_certified(m)
 
 
 def _positivity_certified(m: np.ndarray) -> bool:
@@ -132,11 +185,11 @@ def validate_states(m: np.ndarray) -> np.ndarray:
     module tolerances.  Returns the stack as a new complex array; raises
     NotAState naming the first failing member.
 
-    One fused pass settles the first three; a Gershgorin bound settles
+    One fast pass settles the first three; a Gershgorin bound settles
     positivity of a near-diagonal state (such as I/4 + epsilon * delta)
     without an eigendecomposition, and eigvalsh runs only where it fails."""
     m = _as_stack(m, NotAState, "matrix")
-    within, certified = _within_tolerances(m, _UNIT_TRACE, certify=True)
+    within, certified = _within_tolerances(m, unit_trace=True, certify=True)
     if not within:
         tr = _hermitian_checks(m, NotAState, "matrix")
         if (k := _first_bad(~((np.abs(tr.real - 1.0) <= TRACE_TOL) & (np.abs(tr.imag) <= TRACE_TOL)))) is not None:
@@ -157,11 +210,16 @@ def validate_deviations(d: np.ndarray, epsilon: float) -> np.ndarray:
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     d = _as_stack(d, ValueError, "deviation matrix")
-    if not _within_tolerances(d, 0.0)[0]:
+    if not _within_tolerances(d, unit_trace=False)[0]:
         tr = _hermitian_checks(d, ValueError, "deviation matrix")
         if (k := _first_bad(~(np.abs(tr) <= TRACE_TOL))) is not None:
             raise ValueError(f"deviation matrix has trace {tr[k]}" + _where(k))
     return d
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -179,6 +237,11 @@ class DensityMatrix:
 
     def expectation(self, observable: np.ndarray) -> float:
         return float(np.trace(self.matrix @ observable).real)
+
+    @cached_property
+    def pauli(self) -> np.ndarray:
+        """The read-only ``pauli_table`` of the matrix, computed once."""
+        return _frozen(pauli_table(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -198,6 +261,11 @@ class DeviationState:
             raise ValueError(f"expected a 4x4 deviation matrix, got shape {d.shape}")
         d.flags.writeable = False      # the validator's own copy
         object.__setattr__(self, "delta", d)
+
+    @cached_property
+    def pauli(self) -> np.ndarray:
+        """The read-only ``pauli_table`` of delta, computed once."""
+        return _frozen(pauli_table(self.delta))
 
     @classmethod
     def views(cls, stack: np.ndarray, epsilon: float) -> tuple["DeviationState", ...]:

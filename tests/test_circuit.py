@@ -33,13 +33,17 @@ from nmrwitness.circuit import (
     _checked_unitary,
     witness_sum,
 )
+from nmrwitness import states
 from nmrwitness.errors import BadIndex, EpsilonMismatch
+from nmrwitness.harness import DEFAULT_NOISE_LEVEL, perturb_deviation
 from nmrwitness.nmr import (
     SpinSystemParams,
+    pulse_protocol_state,
     pulse_step_observables,
     pulse_step_unitaries,
 )
-from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, su2
+from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, on_a, su2
+from nmrwitness.states import compose_deviation
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
 from oracles import pauli_pair_expectation, pauli_readout_table
@@ -257,6 +261,19 @@ class TestReadout:
     def test_maximally_mixed_reads_zero(self):
         assert abs(readout_sigma_x_a(DensityMatrix(IDENTITY_4 / 4))) < 1e-12
 
+    @pytest.mark.parametrize("model", ["instantaneous", "finite"])
+    def test_closed_form_equals_the_expectation_bitwise(self, model):
+        """On noisy pulse-level states after each pulse-level circuit step."""
+        params, rng = SpinSystemParams(), np.random.default_rng(5)
+        sigma_x_a = on_a(SIGMA_X)
+        for k in range(50):
+            dev = prepare_deviation(("QC", "pseudo_pure_11")[k % 2], params, level="pulse", model=model)
+            rho = compose_deviation(perturb_deviation(dev, DEFAULT_NOISE_LEVEL, rng))
+            for i in (1, 2, 3):
+                xi = pulse_protocol_state(rho, i, params, model)
+                got = readout_sigma_x_a(xi)
+                assert type(got) is float and got == xi.expectation(sigma_x_a)
+
     def test_plus_state_reads_one(self):
         plus = ket_projector(1 / np.sqrt(2), 1 / np.sqrt(2))
         rho = DensityMatrix(np.kron(plus, IDENTITY_2 / 2))
@@ -454,11 +471,38 @@ class TestWitness:
         with pytest.raises(ValueError, match="readouts must be finite"):
             witness_sum([np.nan, 0.1, 0.2, 0.3])
 
+    def test_pauli_table_is_computed_once_per_state(self, monkeypatch, rng):
+        calls = []
+        pauli_table = states.pauli_table
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return pauli_table(m)
+
+        monkeypatch.setattr(states, "pauli_table", counted)
+        for state in (random_density_matrix(rng),
+                      DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)):
+            calls.clear()
+            for seed in range(3):
+                for mode in ("circuit", "direct"):
+                    witness(state, sample_direction(seed), mode, "thermal", epsilon=0.05)
+            assert calls == [(4, 4)]
+
     def test_report_json_fields(self):
         rep = witness(triplet(), sample_direction(4), seed=4)
         doc = rep.to_json()
         assert set(doc) == {"o", "W", "mode", "seed", "normalization"}
         assert doc["seed"] == 4 and doc["normalization"] == "raw"
+
+    @pytest.mark.parametrize("state", [triplet(), DeviationState(
+        delta=np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) - np.kron(SIGMA_Z, SIGMA_Z),
+        epsilon=0.25)])
+    def test_circuit_mode_checks_the_readout_bounds(self, state):
+        # a table scaled by 1.5 reads |<O_i>| = 1.5 on the triplet (and
+        # on the deviation whose state is the triplet), beyond the bound 1
+        with pytest.raises(ValueError, match="exceeds its bound 1.0"):
+            witness(state, sample_direction(0), "circuit", table=1.5 * STEP_OBSERVABLES)
+        assert witness(state, sample_direction(0), "direct", table=1.5 * STEP_OBSERVABLES).w > 0
 
     def test_protocol_readout_bundle(self):
         out = witness(triplet(), sample_direction(2), table=STEP_OBSERVABLES)

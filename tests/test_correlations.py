@@ -16,8 +16,11 @@ from nmrwitness import (
     measure_map,
     measure_map_deviation,
     mutual_information,
+    sample_direction,
     symmetric_discord,
+    witness,
 )
+from nmrwitness import correlations, states
 from nmrwitness.correlations import _exact_objective, pauli_coefficients
 from nmrwitness.errors import OptimizerFailure
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, direction
@@ -178,6 +181,26 @@ class TestDiscordEpsilon:
         r1 = discord_epsilon(DeviationState(delta=QC_DELTA))
         r2 = discord_epsilon(DeviationState(delta=QC_DELTA))
         assert r1.argmax_basis == r2.argmax_basis
+
+    def test_reads_the_pauli_table_the_state_keeps(self, monkeypatch, rng):
+        # fig2 reads a state's witness and then its discord_epsilon
+        delta = random_traceless_hermitian(rng) / 16
+        want = discord_epsilon(DeviationState(delta=delta, epsilon=0.05))
+        calls = []
+        pauli_table = states.pauli_table
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return pauli_table(m)
+
+        for module in (states, correlations):
+            monkeypatch.setattr(module, "pauli_table", counted)
+        dev = DeviationState(delta=delta, epsilon=0.05)
+        witness(dev, sample_direction(0))
+        got = discord_epsilon(dev)
+        assert calls == [(4, 4)]
+        assert got.to_json() == want.to_json()
+        assert (got.quantum, got.classical, got.mutual_info) == (want.quantum, want.classical, want.mutual_info)
 
     def test_tie_rule_quantum_correlated_z_basis(self):
         # T = diag(2, 2, -2): every direction ties, z is taken.  The extracted

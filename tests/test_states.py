@@ -225,6 +225,21 @@ class TestDeviation:
             with pytest.raises(ValueError, match="deviation matrix has trace"):
                 DeviationState(delta=np.diag([1e308, 1e308, -1e308, -1e308]))
 
+    def test_pauli_table_is_read_only_and_kept(self, rng):
+        """``pauli`` equals pauli_table bit for bit, is read-only and is
+        computed once, on a DensityMatrix, a DeviationState and the views of
+        a validated stack."""
+        devs = [DeviationState(delta=random_traceless_hermitian(rng), epsilon=0.05) for _ in range(5)]
+        stack = states.validate_deviations(np.array([d.delta for d in devs]), 0.05)
+        for state, m in ([(d, d.delta) for d in devs]
+                         + [(v, v.delta) for v in DeviationState.views(stack, 0.05)]
+                         + [(compose_deviation(d), compose_deviation(d).matrix) for d in devs]):
+            table = state.pauli
+            assert table.tobytes() == pauli_table(m).tobytes() and table.shape == (4, 4)
+            assert not table.flags.writeable and state.pauli is table
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
     def test_non_finite_rejected(self):
         delta = np.zeros((4, 4), dtype=complex)
         delta[0, 0] = np.nan
@@ -392,8 +407,11 @@ def _fault(m: np.ndarray, fault: str, rng: np.random.Generator) -> np.ndarray:
     elif fault == "huge":
         # finite entries near the float limit whose sums overflow: a Hermitian
         # or an anti-Hermitian off-diagonal pair, or one sign added to the
-        # whole diagonal.  (A mixed-sign diagonal is left out: its trace is
-        # inf, nan or zero depending on the order of summation.)
+        # whole diagonal.  (A mixed-sign diagonal is left out for the sake of
+        # stacks: its trace is inf, nan or zero depending on the order of
+        # summation, and the fused pass adds in another order than np.trace.
+        # One matrix adds as np.trace does; test_one_matrix_agrees_near_the_
+        # float_limit covers it.)
         big = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(307.7, 308.2)
         i, j = rng.choice(4, 2, replace=False)
         if rng.integers(3):
@@ -463,6 +481,39 @@ class TestFusedValidators:
             member = members[k % len(members)]
             d[member] = _fault(d[member], fault, rng)
         assert _outcome(validate_deviations, d, epsilon) == _outcome(_reference_deviations, d, epsilon)
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    def test_every_fault_meets_both_passes(self, shape):
+        """Each fault on its own, on one matrix (the scalar pass) and on a
+        stack of one (the fused pass), over every base family."""
+        rng = np.random.default_rng(21)
+        for fault in STATE_FAULTS:
+            for family in ("nmr", "ginibre", "pure"):
+                for _ in range(4):
+                    m = _fault(_base_states(rng, (), family), fault, rng).reshape(shape + (4, 4))
+                    assert _outcome(validate_states, m) == _outcome(_reference_states, m), fault
+        for fault in DEVIATION_FAULTS:
+            for _ in range(12):
+                d = _fault(random_traceless_hermitian(rng), fault, rng).reshape(shape + (4, 4))
+                assert (_outcome(validate_deviations, d, 1e-5)
+                        == _outcome(_reference_deviations, d, 1e-5)), fault
+
+    def test_one_matrix_agrees_near_the_float_limit(self):
+        """+big and -big on two diagonal entries of a traceless deviation:
+        its trace is what is left of the small entries, or inf or nan.  One
+        matrix reads it in np.trace's order, as the reference does."""
+        rng = np.random.default_rng(14)
+        accepted = 0
+        for _ in range(2000):
+            d = np.array(random_traceless_hermitian(rng), dtype=complex)
+            big = 10.0 ** rng.uniform(307.5, 308.2)
+            i, j = rng.choice(4, 2, replace=False)
+            d[i, i] += big
+            d[j, j] -= big
+            want = _outcome(_reference_deviations, d, 1e-5)
+            assert _outcome(validate_deviations, d, 1e-5) == want
+            accepted += want[0][0] == "ok"
+        assert 0 < accepted < 2000, accepted
 
     @pytest.mark.parametrize("shape", [(), (4,), (3, 3), (4, 5), (5, 4, 3), (0, 4, 4), (2, 0, 4, 4)])
     def test_shapes_match_reference(self, shape):
@@ -558,3 +609,21 @@ class TestPositivityCertificate:
         assert calls == [(4, 4)]
         validate_states(np.array([qc, bell]))
         assert calls == [(4, 4), (2, 4, 4)]
+
+    @pytest.mark.parametrize("shape", [(), (1,)])
+    @pytest.mark.parametrize("row", range(4))
+    def test_each_row_of_the_bound_counts(self, monkeypatch, shape, row):
+        """A 2x2 block [[0.4, c], [c, 0.1]] in a diagonal rest: the bound of
+        the block's light row, 0.1 - c, is negative while the other rows
+        pass.  At c = 0.15 the state is positive, so eigvalsh must settle
+        it; at c = 0.25 it is not, and must be rejected."""
+        calls = self._count_eigvalsh(monkeypatch)
+        for c in (0.15, 0.25):
+            m = np.diag([0.4, 0.1, 0.25, 0.25]).astype(complex)
+            m[0, 1] = m[1, 0] = c
+            perm = np.roll(np.arange(4), row - 1)     # the light row lands on ``row``
+            m = m[np.ix_(perm, perm)].reshape(shape + (4, 4))
+            calls.clear()
+            got = _outcome(validate_states, m)
+            assert calls == [shape + (4, 4)]
+            assert got == _outcome(_reference_states, m)
