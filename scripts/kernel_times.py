@@ -6,7 +6,9 @@ stack: the pulse-level QC deviation at the default parameters, its state
 I/4 + epsilon delta, its finite-pulse step-2 state, seed-0 witness
 direction and a 12-step relaxed Pauli table at the fig4 time step, with its
 deviation and state stacks.  ``sweep item`` is the timed call of a
-benchmark ``sweep`` item at the default parameters and 12 steps.  The
+benchmark ``sweep`` item at the default parameters and 12 steps, from the
+state the benchmark passes and from the deviation that fig4 and
+scripts/relaxation_study.py pass.  The
 exact discord search runs on one seed-0 Ginibre state, the input of a
 ``custom`` item.  ``witness`` reads the Pauli table that a state computes
 once and keeps, so its lines leave out the ``pauli_table`` line's cost.
@@ -50,7 +52,7 @@ def kernels() -> dict:
     rho = states.compose_deviation(dev)
     direction = circuit.sample_direction(0)
     times = np.arange(SWEEP_STEPS) * SWEEP_DT
-    table = nmr._relaxed_table(dev.delta, times, params, 1.0 / eps)
+    table = nmr._relaxed_table(dev.pauli, times, params, 1.0 / eps)
     deltas = states.from_pauli_table(table)
     rhos = np.eye(4) / 4.0 + eps * deltas
     xi = nmr.pulse_protocol_state(rho, 2, params, "finite")
@@ -73,9 +75,11 @@ def kernels() -> dict:
         f"epsilon_correlations ({SWEEP_STEPS} steps)": lambda: correlations.epsilon_correlations(
             table[:, 1:, 1:]),
         f"_relaxed_table ({SWEEP_STEPS} steps)": lambda: nmr._relaxed_table(
-            dev.delta, times, params, 1.0 / eps),
+            dev.pauli, times, params, 1.0 / eps),
         "sweep item (prepare_state + dynamics_sweep)": lambda: nmr.dynamics_sweep(
             nmr.prepare_state("QC", params), SWEEP_DT, SWEEP_STEPS, params),
+        "sweep item (deviation input)": lambda: nmr.dynamics_sweep(
+            nmr.prepare_deviation("QC", params), SWEEP_DT, SWEEP_STEPS, params),
         "perturb_deviation": lambda: harness.perturb_deviation(
             dev, harness.DEFAULT_NOISE_LEVEL, rng),
         "pulse_protocol_state": lambda: nmr.pulse_protocol_state(rho, 2, params, "finite"),

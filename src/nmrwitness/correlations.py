@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OptimizerFailure
 from .pauli import bloch_vector_to_op, direction
-from .states import DensityMatrix, DeviationState, partial_trace, pauli_table
+from .states import DensityMatrix, DeviationState, partial_trace
 
 # Singular values of T within this fraction of s1 count as tied: deviations
 # extracted at epsilon = 1e-5 carry about 1e-11 of rounding.
@@ -109,16 +109,6 @@ def measure_map_deviation(delta: np.ndarray, basis: MeasurementBasis) -> np.ndar
 def measure_map(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
     """chi = sum_ij (P_i x Q_j) rho (P_i x Q_j), diagonal in the product basis."""
     return DensityMatrix(measure_map_deviation(rho.matrix, basis))
-
-
-# --- Pauli coefficients -----------------------------------------------------
-
-
-def pauli_coefficients(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local vectors and full correlation matrix of a two-qubit operator:
-    a_i = tr(M s_i x I), b_i = tr(M I x s_i), T_ij = tr(M s_i x s_j)."""
-    r = pauli_table(mat)
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
 
 
 # --- epsilon^2 expansion: closed form from T -------------------------------
@@ -249,7 +239,8 @@ def symmetric_discord(rho: DensityMatrix) -> CorrelationReport:
     among values within 1e-12 of it, the lexicographically smallest canonical
     angles.  No converged start raises OptimizerFailure.
     """
-    a, b, t = pauli_coefficients(rho.matrix)
+    r = rho.pauli
+    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
     total = mutual_information(rho)
 
     dirs = direction(*GRID_ANGLES.T).T

@@ -22,11 +22,12 @@ deviation (``_run``), the witness steps take the unitary of gradient-free
 programs (``sequence_propagator``), and ``apply_sequence`` runs a program
 on a DensityMatrix.  The products that callers repeat are cached read-only
 constants: of (params, model), the pulse-level deviation of each prepared
-kind and its state, the three pulse-level witness steps (with the checked
-composite CNOT) and their readout table; of (kind, epsilon), the ideal
-deviation of each kind but thermal and its state.  Instantaneous pulses are
-closed-form SU(2) rotations; only the finite pulse model exponentiates a
-Hermitian generator, by ``np.linalg.eigh`` (``_expi``).
+kind, the three pulse-level witness steps (with the checked composite CNOT)
+and their readout table; of (kind, epsilon), the ideal deviation of each
+kind but thermal.  Each deviation keeps its Pauli table and state (``pauli``,
+``rho``).  Instantaneous pulses are closed-form SU(2) rotations; only the
+finite pulse model exponentiates a Hermitian generator, by
+``np.linalg.eigh`` (``_expi``).
 """
 
 import dataclasses
@@ -64,7 +65,6 @@ from .states import (
     DeviationState,
     compose_deviation,
     from_pauli_table,
-    pauli_table,
     trace_norm,
     validate_deviations,
     validate_states,
@@ -328,18 +328,19 @@ def _relax_maps(times: list, params: SpinSystemParams) -> np.ndarray:
     return m
 
 
-def _relaxed_table(m: np.ndarray, times, params: SpinSystemParams, identity: float) -> np.ndarray:
-    """The Pauli table R of the 4x4 matrix m relaxed for each time of
-    ``times``, as one real (N, 4, 4) stack R' = M_H(t) R M_C(t)^T.  The
-    affine term acts on the identity weight R[0, 0] = ``identity``: 1 for
-    rho, 1/epsilon for the delta of rho = I/4 + epsilon delta (whose table
-    has none); the result keeps m's own R[0, 0]."""
+def _relaxed_table(r: np.ndarray, times, params: SpinSystemParams, identity: float) -> np.ndarray:
+    """The 4x4 Pauli table r (a state's ``pauli``, left unchanged) relaxed
+    for each time of ``times``, as one real (N, 4, 4) stack
+    R' = M_H(t) R M_C(t)^T.  The affine term acts on the identity weight
+    R[0, 0] = ``identity``: 1 for rho, 1/epsilon for the delta of
+    rho = I/4 + epsilon delta (whose table has none); the result keeps r's
+    own R[0, 0]."""
     times = np.asarray(times, dtype=float)
     if not np.all(times >= 0):
         raise ValueError(f"t must be nonnegative, got {times}")
     m_h, m_c = _relax_maps(times.tolist(), params)
-    r = pauli_table(m)
-    trace, r[0, 0] = r[0, 0], identity
+    trace, r = r[0, 0], r.copy()
+    r[0, 0] = identity
     r = m_h @ r @ m_c.swapaxes(-1, -2)
     r[:, 0, 0] = trace
     return r
@@ -350,7 +351,7 @@ def relax(rho: DensityMatrix, t: float, params: SpinSystemParams) -> DensityMatr
     Pauli table as R' = M_H R M_C^T."""
     if t == 0:
         return rho
-    return DensityMatrix(from_pauli_table(_relaxed_table(rho.matrix, [t], params, 1.0))[0])
+    return DensityMatrix(from_pauli_table(_relaxed_table(rho.pauli, [t], params, 1.0))[0])
 
 
 # --- state preparation --------------------------------------------------------
@@ -422,12 +423,9 @@ _PREPARATIONS = {"pseudo_pure_11": PSEUDO_PURE_11_EVENTS,
 
 
 @functools.lru_cache(maxsize=64)
-def _pulse_prepared(kind: str, params: SpinSystemParams, model: str, composed: bool):
-    """The checked pulse-level deviation of ``kind``, or its state if
-    ``composed``, a cached read-only constant; lru_cache keeps no exception,
-    so a failure raises every call."""
-    if composed:
-        return compose_deviation(_pulse_prepared(kind, params, model, False))
+def _pulse_prepared(kind: str, params: SpinSystemParams, model: str) -> DeviationState:
+    """The checked pulse-level deviation of ``kind``, a cached read-only
+    constant; lru_cache keeps no exception, so a failure raises every call."""
     thermal = DeviationState(delta=thermal_deviation(params), epsilon=params.epsilon)
     compose_deviation(thermal)   # NotAState if epsilon admits no thermal state
     delta = _run(thermal.delta, _segments(_PREPARATIONS[kind], params, model))
@@ -439,26 +437,10 @@ def _pulse_prepared(kind: str, params: SpinSystemParams, model: str, composed: b
 
 
 @functools.lru_cache(maxsize=64)
-def _ideal_prepared(kind: str, epsilon: float, composed: bool):
+def _ideal_prepared(kind: str, epsilon: float) -> DeviationState:
     """As ``_pulse_prepared`` for the ideal kinds but thermal, keyed by
     epsilon alone: the T2* variants of a sweep study share one entry."""
-    dev = DeviationState(delta=_IDEAL_DEVIATIONS[kind], epsilon=epsilon)
-    return compose_deviation(dev) if composed else dev
-
-
-def _prepared(kind: str, params: SpinSystemParams | None, level: str, model: str, composed: bool):
-    """``prepare_deviation``, or ``prepare_state`` if ``composed``."""
-    params = params or SpinSystemParams()
-    if level not in ("deviation", "pulse"):
-        raise ValueError(f"unknown level {level!r}")
-    if kind == "CC" and level == "pulse":
-        raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
-    if level == "pulse" and kind in _PREPARATIONS:
-        return _pulse_prepared(kind, params, model, composed)
-    if kind in _IDEAL_DEVIATIONS:
-        return _ideal_prepared(kind, params.epsilon, composed)
-    dev = DeviationState(delta=ideal_deviation(kind, params), epsilon=params.epsilon)
-    return compose_deviation(dev) if composed else dev
+    return DeviationState(delta=_IDEAL_DEVIATIONS[kind], epsilon=epsilon)
 
 
 def prepare_deviation(kind: str, params: SpinSystemParams | None = None,
@@ -467,15 +449,24 @@ def prepare_deviation(kind: str, params: SpinSystemParams | None = None,
     deviation level; at pulse level the preparation program run on the
     thermal deviation and checked against the target (CC has no program).
     Every kind but thermal is a cached read-only constant."""
-    return _prepared(kind, params, level, model, False)
+    params = params or SpinSystemParams()
+    if level not in ("deviation", "pulse"):
+        raise ValueError(f"unknown level {level!r}")
+    if kind == "CC" and level == "pulse":
+        raise UnknownKind("CC has no pulse-level preparation; use level='deviation'")
+    if level == "pulse" and kind in _PREPARATIONS:
+        return _pulse_prepared(kind, params, model)
+    if kind in _IDEAL_DEVIATIONS:
+        return _ideal_prepared(kind, params.epsilon)
+    return DeviationState(delta=ideal_deviation(kind, params), epsilon=params.epsilon)
 
 
 def prepare_state(kind: str, params: SpinSystemParams | None = None,
                   level: str = "deviation", model: str = "instantaneous") -> DensityMatrix:
     """I/4 + epsilon * ``prepare_deviation(kind, params, level, model)``,
-    cached as the deviation is; raises NotAState if epsilon is too large
-    for it."""
-    return _prepared(kind, params, level, model, True)
+    the state that deviation keeps (so cached as it is); raises NotAState
+    if epsilon is too large for it."""
+    return compose_deviation(prepare_deviation(kind, params, level, model))
 
 
 # --- pulse-level witness circuit ----------------------------------------------
@@ -527,7 +518,8 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
     thermal amplitude) and the expansion-order correlation quantifiers.
 
     It runs on the relaxed (N, 4, 4) Pauli table R of delta at
-    ``params.epsilon``: ``state0`` is a DeviationState at that epsilon
+    ``params.epsilon``, relaxed from the table ``state0.pauli`` that the
+    state keeps: ``state0`` is a DeviationState at that epsilon
     (EpsilonMismatch otherwise), kept as the t = 0 member, or a
     DensityMatrix, whose relaxed table is divided by epsilon with the
     identity weight set to zero.  The deviations are composed from R once;
@@ -542,13 +534,13 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
     eps = params.epsilon
     times = np.arange(n_steps) * delta_t
     if isinstance(state0, DensityMatrix):
-        r = _relaxed_table(state0.matrix, times, params, 1.0) / eps
+        r = _relaxed_table(state0.pauli, times, params, 1.0) / eps
         r[:, 0, 0] = 0.0
         deltas = from_pauli_table(r)
     elif state0.epsilon != eps:
         raise EpsilonMismatch(f"deviation epsilon {state0.epsilon} vs params.epsilon {eps}")
     else:
-        r = _relaxed_table(state0.delta, times, params, 1.0 / eps)
+        r = _relaxed_table(state0.pauli, times, params, 1.0 / eps)
         deltas = from_pauli_table(r)
         deltas[0] = state0.delta
     deltas = validate_deviations(deltas, eps)

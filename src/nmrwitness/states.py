@@ -2,7 +2,10 @@
 deviation states, Bloch-coefficient specs, and classically correlated mixtures.
 
 All types are immutable after construction and validate their invariants
-eagerly, so anything downstream can assume it holds a physical state.
+eagerly, so anything downstream can assume it holds a physical state.  A
+state computes its derived values once, on first read, and keeps them
+read-only for every reader: ``pauli`` (the Pauli table) and, on a
+DeviationState, ``rho`` (the checked state).
 
 The validators pick their fast pass by shape: one 4x4 matrix is read as
 Python complex numbers from a single ``tolist()``, which costs less than
@@ -250,6 +253,8 @@ class DeviationState:
 
     ``delta`` is the traceless Hermitian deviation matrix carrying all the
     observable structure; ``epsilon`` is the magnetic-to-thermal energy ratio.
+    ``pauli`` (the Pauli table of delta) and ``rho`` (the state) are each
+    computed once, on first read.
     """
 
     delta: np.ndarray
@@ -266,6 +271,12 @@ class DeviationState:
     def pauli(self) -> np.ndarray:
         """The read-only ``pauli_table`` of delta, computed once."""
         return _frozen(pauli_table(self.delta))
+
+    @cached_property
+    def rho(self) -> DensityMatrix:
+        """The checked state I/4 + epsilon * delta, composed once; NotAState
+        on every read if epsilon is too large for delta."""
+        return DensityMatrix(IDENTITY_4 / 4.0 + self.epsilon * self.delta)
 
     @classmethod
     def views(cls, stack: np.ndarray, epsilon: float) -> tuple["DeviationState", ...]:
@@ -362,8 +373,9 @@ def from_bloch(spec: BlochSpec) -> DensityMatrix:
 
 
 def compose_deviation(dev: DeviationState) -> DensityMatrix:
-    """rho = I/4 + epsilon * delta; raises NotAState if epsilon is too large."""
-    return DensityMatrix(IDENTITY_4 / 4.0 + dev.epsilon * dev.delta)
+    """rho = I/4 + epsilon * delta, the state ``dev.rho`` keeps; raises
+    NotAState if epsilon is too large."""
+    return dev.rho
 
 
 def extract_deviation(rho: DensityMatrix, epsilon: float = DEFAULT_EPSILON) -> DeviationState:
@@ -418,7 +430,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 def normalized_trace_distance(d1: DeviationState, d2: DeviationState) -> float:
     """tr|delta1 - delta2| / 2, the deviation-level state distance."""
-    if abs(d1.epsilon - d2.epsilon) > 1e-15:
+    if d1.epsilon != d2.epsilon:
         raise EpsilonMismatch(f"epsilon {d1.epsilon} vs {d2.epsilon}")
     return trace_norm(d1.delta - d2.delta) / 2.0
 

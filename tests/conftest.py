@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from nmrwitness import DensityMatrix
+from nmrwitness import DensityMatrix, states
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
@@ -47,3 +49,20 @@ def no_start_converges(monkeypatch):
         return OptimizeResult(x=x0, fun=fun(x0), success=False)
 
     monkeypatch.setattr(correlations, "minimize", never_converges)
+
+
+@pytest.fixture
+def pauli_table_calls(monkeypatch) -> list:
+    """The shape of the input of every ``states.pauli_table`` call from here
+    on, counted in each package module that imports the function by name."""
+    calls = []
+    pauli_table = states.pauli_table
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return pauli_table(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "nmrwitness" and hasattr(module, "pauli_table"):
+            monkeypatch.setattr(module, "pauli_table", counted)
+    return calls

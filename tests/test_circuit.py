@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,7 @@ from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, 
 from nmrwitness.states import compose_deviation
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
-from oracles import pauli_pair_expectation, pauli_readout_table
+from oracles import bell_diagonal_correlations, pauli_pair_expectation, pauli_readout_table
 
 
 class TestRotation:
@@ -507,3 +509,46 @@ class TestWitness:
     def test_protocol_readout_bundle(self):
         out = witness(triplet(), sample_direction(2), table=STEP_OBSERVABLES)
         assert np.allclose(out.o[:3], [1, 1, -1], atol=1e-12)
+
+
+class TestBellDiagonalClass:
+    """On the Bell-diagonal class, a = b = 0 and T = diag(c), W is a closed
+    form in c, and it is exactly 0 where the discord is 0."""
+
+    @staticmethod
+    def pair_sum(c) -> float:
+        return abs(c[0] * c[1]) + abs(c[0] * c[2]) + abs(c[1] * c[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(0, 2**31))
+    def test_witness_is_the_pair_sum_of_c(self, state_seed, dir_seed):
+        # c of a Bell-diagonal state: its Bell-state weights times their
+        # correlation signs (<xx>, <yy>, <zz>)
+        weights = np.random.default_rng(state_seed).dirichlet(np.ones(4))
+        c = weights @ np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+        rho = from_bloch(BlochSpec(c=c))
+        for mode in ("circuit", "direct"):
+            assert abs(witness(rho, sample_direction(dir_seed), mode).w - self.pair_sum(c)) <= 1e-12
+
+    def test_witness_is_zero_exactly_where_the_discord_is(self):
+        # every c of a grid with |c1| + |c2| + |c3| <= 0.9, so every one a state
+        grid = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
+        directions = [sample_direction(seed) for seed in range(3)]
+        for c in itertools.product(grid, repeat=3):
+            at_most_one = sum(ci != 0.0 for ci in c) <= 1
+            assert (abs(bell_diagonal_correlations(c)[2]) <= 1e-12) == at_most_one, c
+            rho = from_bloch(BlochSpec(c=c))
+            for mode, d in itertools.product(("circuit", "direct"), directions):
+                assert (witness(rho, d, mode).w == 0.0) == at_most_one, (c, mode)
+
+    def test_witness_and_discord_rise_along_the_werner_family(self):
+        # c1 = c2 = c3 = -c, from the maximally mixed state to the singlet
+        cs = (0.1, 0.3, 0.6, 0.9)
+        q = [bell_diagonal_correlations([-c] * 3)[2] for c in cs]
+        assert np.allclose(q, [0.0132, 0.1038, 0.3651, 0.7832], rtol=0, atol=1e-4)
+        assert np.all(np.diff(q) > 0)
+        for mode in ("circuit", "direct"):
+            w = [witness(from_bloch(BlochSpec(c=[-c] * 3)), sample_direction(0), mode).w
+                 for c in cs]
+            assert np.allclose(w, [0.03, 0.27, 1.08, 2.43], rtol=0, atol=1e-12)
+            assert np.all(np.diff(w) > 0)

@@ -20,8 +20,7 @@ from nmrwitness import (
     symmetric_discord,
     witness,
 )
-from nmrwitness import correlations, states
-from nmrwitness.correlations import _exact_objective, pauli_coefficients
+from nmrwitness.correlations import _exact_objective
 from nmrwitness.errors import OptimizerFailure
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, direction
 
@@ -109,7 +108,8 @@ class TestFastObjectives:
     def test_exact_objective_matches_measured_entropy(self, rng):
         for _ in range(25):
             rho = random_density_matrix(rng)
-            a, b, t = pauli_coefficients(rho.matrix)
+            r = rho.pauli
+            a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
             basis = random_basis(rng)
             na, nb = basis.direction_a(), basis.direction_b()
             fast = float(_exact_objective(a, b, t, na, nb))
@@ -182,19 +182,12 @@ class TestDiscordEpsilon:
         r2 = discord_epsilon(DeviationState(delta=QC_DELTA))
         assert r1.argmax_basis == r2.argmax_basis
 
-    def test_reads_the_pauli_table_the_state_keeps(self, monkeypatch, rng):
+    def test_reads_the_pauli_table_the_state_keeps(self, pauli_table_calls, rng):
         # fig2 reads a state's witness and then its discord_epsilon
         delta = random_traceless_hermitian(rng) / 16
         want = discord_epsilon(DeviationState(delta=delta, epsilon=0.05))
-        calls = []
-        pauli_table = states.pauli_table
-
-        def counted(m):
-            calls.append(np.shape(m))
-            return pauli_table(m)
-
-        for module in (states, correlations):
-            monkeypatch.setattr(module, "pauli_table", counted)
+        calls = pauli_table_calls
+        calls.clear()
         dev = DeviationState(delta=delta, epsilon=0.05)
         witness(dev, sample_direction(0))
         got = discord_epsilon(dev)

@@ -241,6 +241,29 @@ class TestCustomAndValidate:
             validate_state_doc({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1.5, 0, 0]}})
 
 
+class TestStateReads:
+    DEVIATION_DOC = {"epsilon": 0.05, "delta_re": np.diag([-0.5, 0.5, 0.5, -0.5]).tolist(),
+                     "delta_im": np.zeros((4, 4)).tolist()}
+    BLOCH_DOC = {"bloch": {"a": [0.2, 0.0, 0.3], "b": [0.0, -0.2, 0.1], "c": [0.3, -0.2, 0.4]}}
+
+    @pytest.mark.parametrize("run, calls", [
+        ("fig2", 3),                # one per state
+        ("fig4", 1),                # read at t = 0, then relaxed by the sweep
+        ("custom-deviation", 2),    # delta and rho
+        ("custom-bloch", 1),
+    ])
+    def test_one_pauli_table_per_state_per_run(self, pauli_table_calls, run, calls):
+        # noise on, so that fig2 and fig4 read fresh states: the cached ideal
+        # deviations keep their Pauli tables from one run to the next
+        noisy = ExperimentConfig(noise_level=DEFAULT_NOISE_LEVEL)
+        custom = ExperimentConfig(experiment="custom")
+        {"fig2": lambda: run_fig2(noisy),
+         "fig4": lambda: run_fig4(noisy),
+         "custom-deviation": lambda: run_custom(custom, self.DEVIATION_DOC),
+         "custom-bloch": lambda: run_custom(custom, self.BLOCH_DOC)}[run]()
+        assert pauli_table_calls == [(4, 4)] * calls
+
+
 class TestNoiseModel:
     def test_perturbation_is_traceless_hermitian(self, rng):
         dev = extract_deviation(prepare_state("QC", SpinSystemParams()), 1e-5)

@@ -211,8 +211,13 @@ class TestDeviation:
             assert np.allclose(back.delta, delta, atol=1e-10)
 
     def test_oversized_epsilon_rejected(self):
-        with pytest.raises(NotAState):
-            compose_deviation(DeviationState(delta=np.kron(SIGMA_Z, SIGMA_Z), epsilon=0.5))
+        # on every read: the state is kept only once it passes its check
+        dev = DeviationState(delta=np.kron(SIGMA_Z, SIGMA_Z), epsilon=0.5)
+        for _ in range(2):
+            with pytest.raises(NotAState):
+                compose_deviation(dev)
+            with pytest.raises(NotAState):
+                dev.rho
 
     def test_traceless_enforced(self):
         with pytest.raises(ValueError):
@@ -239,6 +244,28 @@ class TestDeviation:
             assert not table.flags.writeable and state.pauli is table
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+    def test_state_is_checked_once_and_kept(self, monkeypatch, rng):
+        """``rho`` is composed through DensityMatrix, so validate_states runs
+        on its first read and on no later one; compose_deviation returns it."""
+        checks = []
+        validate = states.validate_states
+
+        def counted(m):
+            checks.append(np.shape(m))
+            return validate(m)
+
+        monkeypatch.setattr(states, "validate_states", counted)
+        delta = random_traceless_hermitian(rng)
+        dev = DeviationState(delta=delta, epsilon=0.05)
+        assert checks == []
+        rho = dev.rho
+        assert checks == [(4, 4)]
+        assert dev.rho is rho and compose_deviation(dev) is rho and checks == [(4, 4)]
+        assert rho.matrix.tobytes() == DensityMatrix(IDENTITY_4 / 4 + 0.05 * dev.delta).matrix.tobytes()
+        assert not rho.matrix.flags.writeable
+        view, = DeviationState.views(states.validate_deviations(delta[None], 0.05), 0.05)
+        assert view.rho.matrix.tobytes() == rho.matrix.tobytes()
 
     def test_non_finite_rejected(self):
         delta = np.zeros((4, 4), dtype=complex)
@@ -319,6 +346,16 @@ class TestNormalizedTraceDistance:
         d2 = DeviationState(delta=np.zeros((4, 4)), epsilon=1e-4)
         with pytest.raises(EpsilonMismatch):
             normalized_trace_distance(d1, d2)
+
+    @pytest.mark.parametrize("e1, e2", [(1e-17, 5e-17), (1e-5, 1e-5 * (1 + 1e-12))])
+    def test_any_epsilon_difference_is_a_mismatch(self, e1, e2):
+        # the rule of witness and dynamics_sweep: epsilons that differ at all
+        # are two scales, however close
+        d1 = DeviationState(delta=np.zeros((4, 4)), epsilon=e1)
+        d2 = DeviationState(delta=np.zeros((4, 4)), epsilon=e2)
+        for a, b in ((d1, d2), (d2, d1)):
+            with pytest.raises(EpsilonMismatch):
+                normalized_trace_distance(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31))
