@@ -5,7 +5,9 @@ The inputs are those of a benchmark ``readout`` item and of a ``sweep`` step
 stack: the pulse-level QC deviation at the default parameters, its state
 I/4 + epsilon delta, its finite-pulse step-2 state, seed-0 witness
 direction and a 12-step relaxed Pauli table at the fig4 time step, with its
-deviation and state stacks.  ``sweep item`` is the timed call of a
+deviation and state stacks; ``DeviationState.views`` and ``DynamicsSeries``
+take the checked deviation stack and the fields of the 12-step sweep of
+that deviation, the two last stages of ``dynamics_sweep``.  ``sweep item`` is the timed call of a
 benchmark ``sweep`` item at the default parameters and 12 steps, from the
 state the benchmark passes and from the deviation that fig4 and
 scripts/relaxation_study.py pass.  The
@@ -55,6 +57,10 @@ def kernels() -> dict:
     table = nmr._relaxed_table(dev.pauli, times, params, 1.0 / eps)
     deltas = states.from_pauli_table(table)
     rhos = np.eye(4) / 4.0 + eps * deltas
+    checked = states.validate_deviations(deltas, eps)
+    series = nmr.dynamics_sweep(dev, SWEEP_DT, SWEEP_STEPS, params)
+    series_fields = {name: getattr(series, name) for name in (
+        "times", "witness_values", "mutual_info", "quantum", "classical", "deviations")}
     xi = nmr.pulse_protocol_state(rho, 2, params, "finite")
     rng = np.random.default_rng(0)
     g = np.random.default_rng(0).standard_normal((4, 4, 2)) @ np.array([1.0, 1j])
@@ -76,6 +82,9 @@ def kernels() -> dict:
             table[:, 1:, 1:]),
         f"_relaxed_table ({SWEEP_STEPS} steps)": lambda: nmr._relaxed_table(
             dev.pauli, times, params, 1.0 / eps),
+        f"DeviationState.views ({SWEEP_STEPS}-step stack)": lambda: states.DeviationState.views(
+            checked, eps),
+        f"DynamicsSeries ({SWEEP_STEPS} steps)": lambda: nmr.DynamicsSeries(**series_fields),
         "sweep item (prepare_state + dynamics_sweep)": lambda: nmr.dynamics_sweep(
             nmr.prepare_state("QC", params), SWEEP_DT, SWEEP_STEPS, params),
         "sweep item (deviation input)": lambda: nmr.dynamics_sweep(

@@ -5,12 +5,15 @@ classical share is the maximum mutual information surviving a product
 projective measurement, and the symmetric quantum discord is the gap.
 Both the exact (bits) and the leading-order high-temperature expansion
 (units of (epsilon^2/ln2) bit) are provided.  The expansion is closed form
-in the singular values of the deviation's 3x3 correlation block T.  Only the
-exact measurement optimization searches, all of it in ``symmetric_discord``: a
-grid over both qubits' Bloch directions, one hemisphere each (n and -n give
-the same projectors), followed by Nelder-Mead refinement from the best
-distinct grid bases; its settings are module constants and it is fully
-deterministic.  That refinement is the package's one use of scipy, imported
+in the singular values of the deviation's 3x3 correlation block T: a stack
+of blocks (``epsilon_correlations``, the sweep) takes singular values only,
+and ``discord_epsilon`` also takes the left singular vectors, which place
+its measurement basis; one helper turns either's values into (I, Q, C).
+Only the exact measurement optimization searches, all of it in
+``symmetric_discord``: a grid over both qubits' Bloch directions, one
+hemisphere each (n and -n give the same projectors), followed by Nelder-Mead
+refinement from the best distinct grid bases; its settings are module
+constants and it is fully deterministic.  That refinement is the package's one use of scipy, imported
 by ``minimize`` on its first call, so importing the package loads only numpy.
 """
 
@@ -114,23 +117,30 @@ def measure_map(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
 # --- epsilon^2 expansion: closed form from T -------------------------------
 
 
-def _epsilon_terms(t: np.ndarray):
-    """Left singular vectors, singular values and the (..., 3) triples
-    (I, Q, C) of a correlation block T or a (..., 3, 3) stack of them, from
-    one batched SVD."""
-    u, s, _ = np.linalg.svd(t)
-    iqc = np.stack([np.sum(t * t, axis=(-2, -1)) / 2.0,
-                    (s[..., 1] ** 2 + s[..., 2] ** 2) / 2.0,
-                    s[..., 0] ** 2 / 2.0], axis=-1)
-    return u, s, iqc
+def _epsilon_terms(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (..., 3) triples (I, Q, C) = (||T||_F^2, s2^2 + s3^2, s1^2) / 2 of
+    a correlation block T or a (..., 3, 3) stack of them, from their
+    descending singular values s, filled into one new array."""
+    iqc = np.empty(s.shape)
+    iqc[..., 0] = np.sum(t * t, axis=(-2, -1))
+    s2 = s * s
+    np.add(s2[..., 1], s2[..., 2], out=iqc[..., 1])
+    iqc[..., 2] = s2[..., 0]
+    iqc /= 2.0
+    return iqc
 
 
 def epsilon_correlations(t: np.ndarray) -> np.ndarray:
     """Leading-order (I, Q, C) of ``discord_epsilon`` for each correlation
     block T = R[1:, 1:] of a deviation's Pauli table, given as a (..., 3, 3)
     stack, as a (..., 3) array in units of (epsilon^2/ln2) bit (no
-    measurement basis)."""
-    return _epsilon_terms(t)[2]
+    measurement basis).
+
+    It asks LAPACK for singular values only; ``discord_epsilon`` also needs
+    the left singular vectors, so its SVD computes them, and the two paths
+    may differ in the last bits of Q and C.  On a diagonal T both return
+    exactly the sorted |diag|, so the two agree bit for bit there."""
+    return _epsilon_terms(t, np.linalg.svd(t, compute_uv=False))
 
 
 def discord_epsilon(dev: DeviationState) -> CorrelationReport:
@@ -144,7 +154,8 @@ def discord_epsilon(dev: DeviationState) -> CorrelationReport:
     not vanish, nb is along T^T na, and T = 0 reports the z basis.
     """
     t = dev.pauli[1:, 1:]
-    u, s, (i, q, c) = _epsilon_terms(t)
+    u, s, _ = np.linalg.svd(t)
+    i, q, c = _epsilon_terms(t, s)
     na = nb = _TIE_AXES[0]
     if s[0] > 0.0:
         tied = u[:, s >= s[0] * (1.0 - TIE_TOL)]

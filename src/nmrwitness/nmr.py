@@ -146,13 +146,25 @@ class DynamicsSeries:
     deviations: tuple
 
     def __post_init__(self):
+        """Each field converted once and read-only: ``times`` non-empty, 1-D,
+        finite and strictly increasing, each series and ``deviations`` of the
+        same length; ValueError naming the field otherwise."""
         t = np.array(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        for name in ("times", "witness_values", "mutual_info", "quantum", "classical"):
+        if t.ndim != 1 or not t.size:
+            raise ValueError(f"times must be a non-empty 1-D array, got shape {t.shape}")
+        # once strictly increasing, only the end points can be infinite
+        if not ((t[1:] > t[:-1]).all() and math.isfinite(t[0]) and math.isfinite(t[-1])):
+            raise ValueError("times must be finite and strictly increasing")
+        t.flags.writeable = False
+        object.__setattr__(self, "times", t)
+        for name in ("witness_values", "mutual_info", "quantum", "classical"):
             v = np.array(getattr(self, name), dtype=float)
+            if v.shape != t.shape:
+                raise ValueError(f"{name} must be 1-D with {t.size} entries, got shape {v.shape}")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+        if len(self.deviations) != t.size:
+            raise ValueError(f"deviations must have {t.size} entries, got {len(self.deviations)}")
 
     def first_time_below(self, series: str, threshold: float) -> float | None:
         values = getattr(self, series)
@@ -523,9 +535,10 @@ def dynamics_sweep(state0: DeviationState | DensityMatrix, delta_t: float, n_ste
     (EpsilonMismatch otherwise), kept as the t = 0 member, or a
     DensityMatrix, whose relaxed table is divided by epsilon with the
     identity weight set to zero.  The deviations are composed from R once;
-    the circuit readout of <O_1>..<O_3> and one batched SVD of the blocks
-    T = R[:, 1:, 1:] read R itself; each check (deviations, positivity of
-    I/4 + epsilon delta, readout bounds) runs once over the stack.
+    the circuit readout of <O_1>..<O_3> and the batched singular values of
+    the blocks T = R[:, 1:, 1:] (``epsilon_correlations``) read R itself;
+    each check (deviations, positivity of I/4 + epsilon delta, readout
+    bounds) runs once over the stack.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")

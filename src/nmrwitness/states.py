@@ -283,13 +283,16 @@ class DeviationState:
         """One DeviationState per member of an (N, 4, 4) stack returned by
         ``validate_deviations`` at this epsilon, each a read-only view of it.
         The stack already passed the checks of ``__post_init__``, so they are
-        not run again per member."""
+        not run again per member, and each member's two fields are written
+        straight into its instance dict, where ``object.__setattr__`` would
+        put them at more cost."""
         stack.flags.writeable = False
         devs = []
         for d in stack:
             dev = object.__new__(cls)
-            object.__setattr__(dev, "delta", d)
-            object.__setattr__(dev, "epsilon", epsilon)
+            fields = dev.__dict__
+            fields["delta"] = d
+            fields["epsilon"] = epsilon
             devs.append(dev)
         return tuple(devs)
 

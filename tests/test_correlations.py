@@ -13,6 +13,7 @@ from nmrwitness import (
     discord_epsilon,
     entropy,
     extract_deviation,
+    from_pauli_table,
     measure_map,
     measure_map_deviation,
     mutual_information,
@@ -20,7 +21,7 @@ from nmrwitness import (
     symmetric_discord,
     witness,
 )
-from nmrwitness.correlations import _exact_objective
+from nmrwitness.correlations import _exact_objective, epsilon_correlations
 from nmrwitness.errors import OptimizerFailure
 from nmrwitness.pauli import IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, direction
 
@@ -227,6 +228,65 @@ class TestDiscordEpsilon:
             rep = discord_epsilon(DeviationState(delta=delta))
             assert rep.quantum >= 0.0
             assert abs(rep.quantum + rep.classical - rep.mutual_info) < 1e-12
+
+
+class TestEpsilonCorrelations:
+    """The sweep's kernel: (I, Q, C) of a stack of correlation blocks T from
+    their singular values only, against ``discord_epsilon``, which also
+    computes the singular vectors."""
+
+    @staticmethod
+    def blocks(rng) -> np.ndarray:
+        """Random 3x3 blocks: full rank, rank 2, rank 1, zero, and with tied
+        singular values (a scaled rotation, and two of three tied)."""
+        out = []
+        for _ in range(40):
+            g = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 1)
+            u, _, vt = np.linalg.svd(g)
+            out += [g, u[:, :2] @ np.diag(rng.uniform(0.1, 2, 2)) @ vt[:2],
+                    np.outer(u[:, 0], vt[0]) * rng.uniform(0.1, 2), u @ vt * rng.uniform(0.1, 2),
+                    u @ np.diag([1.5, 1.5, 0.3]) @ vt]
+        out.append(np.zeros((3, 3)))
+        return np.array(out)
+
+    def test_agrees_with_discord_epsilon_on_random_stacks(self, rng):
+        blocks = self.blocks(rng)
+        r = np.zeros((len(blocks), 4, 4))
+        r[:, 1:, 1:] = blocks
+        devs = [DeviationState(delta=d, epsilon=0.05) for d in from_pauli_table(r)]
+        t = np.array([dev.pauli[1:, 1:] for dev in devs])
+        got = epsilon_correlations(t)
+        want = np.array([[(rep := discord_epsilon(dev)).mutual_info, rep.quantum, rep.classical]
+                         for dev in devs])
+        assert got.shape == (len(devs), 3)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert np.array_equal(got[:, 0], want[:, 0])   # I takes no singular value
+        for k in range(0, len(t), 17):
+            assert np.array_equal(epsilon_correlations(t[k]), got[k])
+
+    def test_diagonal_blocks_give_sorted_magnitudes_bit_for_bit(self, rng):
+        # Every ideal-QC sweep has a diagonal T, so its Q and C are exact
+        # functions of |diag|, on this path and on discord_epsilon's.
+        diags = rng.standard_normal((2000, 3)) * 10.0 ** rng.uniform(-6, 2, (2000, 1))
+        diags[::7, 1] = diags[::7, 0]                    # ties
+        diags[::11, 2] = -diags[::11, 0]
+        diags[::13, rng.integers(0, 3)] = 0.0            # rank deficient
+        t = np.zeros((len(diags), 3, 3))
+        t[:, [0, 1, 2], [0, 1, 2]] = diags
+        d = -np.sort(-np.abs(diags), axis=1)
+        got = epsilon_correlations(t)
+        assert np.array_equal(got[:, 1], (d[:, 1] ** 2 + d[:, 2] ** 2) / 2)
+        assert np.array_equal(got[:, 2], d[:, 0] ** 2 / 2)
+        assert np.array_equal(got[:, 0], np.sum(t * t, axis=(-2, -1)) / 2)
+        r = np.zeros((4, 4))
+        for k in range(0, len(t), 97):
+            r[1:, 1:] = t[k]
+            dev = DeviationState(delta=from_pauli_table(r), epsilon=0.05)
+            block = dev.pauli[1:, 1:]
+            assert np.array_equal(block, np.diag(np.diag(block)))
+            rep = discord_epsilon(dev)
+            assert (rep.mutual_info, rep.quantum, rep.classical) == tuple(epsilon_correlations(block))
 
 
 class TestSymmetricDiscord:

@@ -34,6 +34,7 @@ from nmrwitness.errors import (
 from nmrwitness.nmr import (
     CNOT_EVENTS,
     PP_CALIBRATION,
+    DynamicsSeries,
     PSEUDO_EPR_EVENTS,
     PSEUDO_PURE_11_EVENTS,
     Z_ROTATION_EVENTS,
@@ -694,6 +695,59 @@ class TestDynamicsSweep:
         params = dataclasses.replace(PARAMS, epsilon=0.6)
         with pytest.raises(NotAState, match=r"negative eigenvalue .* \(matrix 1 of the stack\)"):
             dynamics_sweep(DensityMatrix(IDENTITY_4 / 4), 10.0, 4, params)
+
+
+class TestDynamicsSeries:
+    """The public constructor keeps the series' shape: ``times`` non-empty,
+    1-D, finite and strictly increasing; every series 1-D of the same length
+    as ``times``, and one deviation per time."""
+
+    @staticmethod
+    def fields(n: int = 3) -> dict:
+        series = dynamics_sweep(prepare_deviation("QC", PARAMS), 0.0557, n, PARAMS)
+        return {name: getattr(series, name) for name in (
+            "times", "witness_values", "mutual_info", "quantum", "classical", "deviations")}
+
+    def test_sweep_fields_are_kept_read_only(self):
+        fields = self.fields()
+        series = DynamicsSeries(**{**fields, "times": [0.0, 0.5, 1.0], "quantum": [3, 2, 1]})
+        assert series.times.tolist() == [0.0, 0.5, 1.0] and series.quantum.tolist() == [3.0, 2.0, 1.0]
+        for name in ("times", "witness_values", "mutual_info", "quantum", "classical"):
+            values = getattr(series, name)
+            assert values.dtype == float and values.shape == (3,) and not values.flags.writeable
+        assert series.witness_values.tobytes() == fields["witness_values"].tobytes()
+        assert series.deviations is fields["deviations"]
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [np.nan], [0.0, np.inf, np.inf],
+                                       [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0],
+                                       [0.0, 1.0, 1.0]])
+    def test_rejects_times_not_finite_and_strictly_increasing(self, times):
+        fields = self.fields(len(times))
+        with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+            DynamicsSeries(**{**fields, "times": times})
+
+    @pytest.mark.parametrize("times", [[], [[0.0, 1.0, 2.0]], 0.0])
+    def test_rejects_times_not_a_non_empty_vector(self, times):
+        with pytest.raises(ValueError, match="times must be a non-empty 1-D array"):
+            DynamicsSeries(**{**self.fields(), "times": times})
+
+    @pytest.mark.parametrize("name, values", [
+        ("witness_values", [1.0]),
+        ("mutual_info", [1.0, 2.0, 3.0, 4.0]),
+        ("quantum", []),
+        ("classical", [[1.0, 2.0, 3.0]]),
+        ("classical", np.ones((3, 1))),
+        ("quantum", 1.0),
+    ])
+    def test_rejects_a_series_of_another_shape(self, name, values):
+        with pytest.raises(ValueError, match=f"{name} must be 1-D with 3 entries"):
+            DynamicsSeries(**{**self.fields(), name: values})
+
+    def test_rejects_another_number_of_deviations(self):
+        fields = self.fields()
+        for deviations in (fields["deviations"][:2], fields["deviations"] * 2, ()):
+            with pytest.raises(ValueError, match="deviations must have 3 entries"):
+                DynamicsSeries(**{**fields, "deviations": deviations})
 
 
 class TestThermalModel:

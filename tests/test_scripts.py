@@ -1,10 +1,13 @@
-"""Smoke tests of the scripts in scripts/: each runs on the package as it
-is, so a name a script uses cannot disappear unnoticed."""
+"""Tests of the scripts in scripts/: each runs on the package as it is, so
+a name a script uses cannot disappear unnoticed, and bench_record.py's
+paired-run summary is checked on fixed numbers."""
 
 import runpy
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from nmrwitness import dynamics_sweep, prepare_deviation
 from nmrwitness.harness import CLASSICALITY_BOUND, DECAY_FRACTION
@@ -51,3 +54,33 @@ def test_kernel_times_kernels_run():
     assert kernels
     for call in kernels.values():
         call()
+
+
+def test_bench_record_summarizes_pairs_on_fixed_numbers():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_record.py"))["summarize_pairs"]
+    parent = [0.30, 0.32, 0.31, 0.29, 0.33, 0.30, 0.31, 0.32, 0.30, 0.31]
+    change = [0.25, 0.26, 0.27, 0.25, 0.26, 0.31, 0.25, 0.26, 0.25, 0.26]
+    s = summarize(parent, change, "lower")
+    # statistics.quantiles(n=4), exclusive method: points 2.75, 5.5 and 8.25
+    # of the ten sorted values
+    assert [s["parent"][k] for k in ("q1", "median", "q3")] == pytest.approx([0.30, 0.31, 0.32])
+    assert s["change"]["median"] == pytest.approx(0.26) and s["change"]["values"] == change
+    assert (s["pairs"], s["wins"]) == (10, 9)                  # pair 6 is lost
+    assert s["median_gain"] == pytest.approx(0.05) and s["parent_iqr"] == pytest.approx(0.02)
+    assert s["claim_holds"]
+    # the same runs read as a rate, where higher is better: one pair won
+    s = summarize(parent, change, "higher")
+    assert s["wins"] == 1 and s["median_gain"] == pytest.approx(-0.05) and not s["claim_holds"]
+    # 8 wins of 10 fail the rule, however large the gain
+    eight = [p - 0.05 for p in parent[:8]] + [p + 0.01 for p in parent[8:]]
+    s = summarize(parent, eight, "lower")
+    assert s["wins"] == 8 and s["median_gain"] > s["parent_iqr"] and not s["claim_holds"]
+    # 9 wins of 10 with a gain inside the parent's IQR fail it too
+    near = [p - 0.001 for p in parent[:9]] + [0.5]
+    s = summarize(parent, near, "lower")
+    assert s["wins"] == 9 and 0 < s["median_gain"] < s["parent_iqr"] and not s["claim_holds"]
+    # ties are not wins; fewer than two pairs or unequal sides are refused
+    assert summarize([1.0, 2.0], [1.0, 2.0], "lower")["wins"] == 0
+    for bad in (([1.0], [1.0]), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError, match="two or more pairs"):
+            summarize(*bad, "lower")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -266,6 +267,26 @@ class TestDeviation:
         assert not rho.matrix.flags.writeable
         view, = DeviationState.views(states.validate_deviations(delta[None], 0.05), 0.05)
         assert view.rho.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_views_keep_the_frozen_contract(self, rng):
+        """Each member of ``views`` is a frozen DeviationState whose delta is
+        a read-only view sharing the stack's memory, at the epsilon given."""
+        epsilon = 0.05
+        stack = states.validate_deviations(
+            np.array([random_traceless_hermitian(rng) for _ in range(3)]), epsilon)
+        views = DeviationState.views(stack, epsilon)
+        assert len(views) == 3 and not stack.flags.writeable
+        for k, view in enumerate(views):
+            assert type(view) is DeviationState
+            assert view.epsilon is epsilon
+            assert np.shares_memory(view.delta, stack) and view.delta.base is stack
+            assert view.delta.tobytes() == stack[k].tobytes() and not view.delta.flags.writeable
+            with pytest.raises(ValueError):
+                view.delta[0, 0] = 1.0
+            for name, value in (("delta", np.zeros((4, 4))), ("epsilon", 0.1), ("pauli", None)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(view, name, value)
+            assert view.epsilon is epsilon and view.delta.base is stack
 
     def test_non_finite_rejected(self):
         delta = np.zeros((4, 4), dtype=complex)
