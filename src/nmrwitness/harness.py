@@ -29,13 +29,7 @@ from .nmr import (
     pulse_step_observables,
 )
 from .pauli import su2
-from .states import (
-    DensityMatrix,
-    DeviationState,
-    compose_deviation,
-    normalized_trace_distance,
-    state_from_json,
-)
+from .states import DeviationState, normalized_trace_distance, state_from_json
 
 CROSS_CHECK_TOL = 1e-8
 CLASSICALITY_BOUND = 0.05
@@ -170,36 +164,27 @@ def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> DeviationState:
     dev = prepare_deviation(kind, config.params, level=level)
     if config.noise_level is not None:
         dev = perturb_deviation(dev, config.noise_level, noise_rng)
-    compose_deviation(dev)
+    dev.rho    # NotAState if it is not a state
     return dev
 
 
-def _read_state(state_doc: dict) -> tuple[DeviationState | None, DensityMatrix]:
-    """(deviation or None for the Bloch form, state) of a state document."""
-    parsed = state_from_json(state_doc)
-    if isinstance(parsed, DeviationState):
-        return parsed, compose_deviation(parsed)
-    return None, parsed
-
-
-def _witness_with_cross_check(state: DeviationState | DensityMatrix, seeds: tuple,
-                              table: np.ndarray, normalization: str, include_o4: bool):
+def _witness_with_cross_check(dev: DeviationState, seeds: tuple, table: np.ndarray,
+                              normalization: str, include_o4: bool):
     """(best circuit report, direct report of its seed, gap): the witness
     over the direction ``seeds``, read in circuit mode with the readout
     ``table`` (the first seed of the largest W wins), then in direct mode at
     the winning seed; CrossCheckFailure when the largest circuit vs direct
     readout gap exceeds CROSS_CHECK_TOL.  The gap is one per state: the
     correlation readouts take no direction, and both modes read <O_4> alike.
-    It is in thermal units for a deviation (a raw gap is divided by
-    2 epsilon) and in units of rho for a DensityMatrix."""
+    It is in thermal units (a raw gap is divided by 2 epsilon)."""
     directions = {s: sample_direction(s) for s in seeds}
-    circuit = max((witness(state, d, "circuit", normalization, include_o4=include_o4, seed=s,
+    circuit = max((witness(dev, d, "circuit", normalization, include_o4=include_o4, seed=s,
                            table=table) for s, d in directions.items()), key=lambda rep: rep.w)
-    direct = witness(state, directions[circuit.seed], "direct", normalization,
+    direct = witness(dev, directions[circuit.seed], "direct", normalization,
                      include_o4=include_o4, seed=circuit.seed)
     gap = float(np.max(np.abs(circuit.o - direct.o)))
-    if normalization == "raw" and isinstance(state, DeviationState):
-        gap /= 2.0 * state.epsilon
+    if normalization == "raw":
+        gap /= 2.0 * dev.epsilon
     if gap > CROSS_CHECK_TOL:
         raise CrossCheckFailure(f"circuit vs direct readout gap {gap:.3e} exceeds {CROSS_CHECK_TOL}")
     return circuit, direct, gap
@@ -331,14 +316,16 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
 
 
 def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
-    """Full analysis bundle for a user-supplied state."""
+    """Full analysis of one state document, read as a deviation: the witness,
+    raw, through the ideal circuit and at the document's epsilon (of
+    ``config`` only the direction seeds apply), and the discord."""
     t0 = time.perf_counter()
-    dev, state = _read_state(state_doc)
-    eps_corr = None if dev is None else discord_epsilon(dev).to_json()
+    dev = state_from_json(state_doc)
+    eps_corr = None if "bloch" in state_doc else discord_epsilon(dev).to_json()
 
     circuit_rep, direct_rep, gap = _witness_with_cross_check(
-        state, config.seeds(), STEP_OBSERVABLES, "raw", True)
-    exact = symmetric_discord(state)
+        dev, config.seeds(), STEP_OBSERVABLES, "raw", True)
+    exact = symmetric_discord(dev.rho)
     rows = [{
         "witness_circuit": circuit_rep.to_json(),
         "witness_direct": direct_rep.to_json(),
@@ -351,12 +338,12 @@ def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
 
 def validate_state_doc(state_doc: dict) -> dict:
     """Parse and validate a state document; raises on any invariant failure."""
-    dev, state = _read_state(state_doc)
+    rho = state_from_json(state_doc).rho
     return {
-        "form": "bloch" if dev is None else "deviation",
-        "trace": float(np.trace(state.matrix).real),
-        "min_eigenvalue": float(np.linalg.eigvalsh(state.matrix).min()),
-        "mutual_information_bits": mutual_information(state),
+        "form": "bloch" if "bloch" in state_doc else "deviation",
+        "trace": float(np.trace(rho.matrix).real),
+        "min_eigenvalue": float(np.linalg.eigvalsh(rho.matrix).min()),
+        "mutual_information_bits": mutual_information(rho),
     }
 
 

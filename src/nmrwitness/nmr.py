@@ -145,6 +145,8 @@ class DynamicsSeries:
     classical: np.ndarray
     deviations: tuple
 
+    _SERIES = ("witness_values", "mutual_info", "quantum", "classical")
+
     def __post_init__(self):
         """Each field converted once and read-only: ``times`` non-empty, 1-D,
         finite and strictly increasing, each series and ``deviations`` of the
@@ -157,7 +159,7 @@ class DynamicsSeries:
             raise ValueError("times must be finite and strictly increasing")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
-        for name in ("witness_values", "mutual_info", "quantum", "classical"):
+        for name in self._SERIES:
             v = np.array(getattr(self, name), dtype=float)
             if v.shape != t.shape:
                 raise ValueError(f"{name} must be 1-D with {t.size} entries, got shape {v.shape}")
@@ -167,7 +169,13 @@ class DynamicsSeries:
             raise ValueError(f"deviations must have {t.size} entries, got {len(self.deviations)}")
 
     def first_time_below(self, series: str, threshold: float) -> float | None:
+        """The first time ``series`` reads below ``threshold``, or None;
+        ValueError unless it is one of the four series and finite."""
+        if series not in self._SERIES:
+            raise ValueError(f"series must be one of {', '.join(self._SERIES)}, got {series!r}")
         values = getattr(self, series)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{series} has non-finite values")
         below = np.nonzero(values < threshold)[0]
         return float(self.times[below[0]]) if below.size else None
 

@@ -481,15 +481,18 @@ def _numbers(value, key: str, where: str) -> np.ndarray:
     raise BadDocument(f"{where} key {key!r} must be an array of numbers, got {value!r}")
 
 
-def state_from_json(doc: dict):
-    """Parse either wire form; returns a DeviationState or a DensityMatrix.
-    A missing key or a value that is not a number (or an array of numbers)
-    raises BadDocument naming the key."""
+def state_from_json(doc: dict) -> DeviationState:
+    """Parse either wire form into a DeviationState: a Bloch document, checked
+    as a state (NotAState), is the epsilon = 1/4 deviation 4 rho - I keeping
+    it as ``rho``.  BadDocument names a missing or non-numeric key."""
     if isinstance(doc, dict) and "bloch" in doc:
         where = "bloch block"
         vectors = _fields(doc["bloch"], ("a", "b", "c"), where)
         a, b, c = (_numbers(v, key, where) for key, v in zip("abc", vectors))
-        return from_bloch(BlochSpec(a=a, b=b, c=c))
+        rho = from_bloch(BlochSpec(a=a, b=b, c=c))
+        dev = DeviationState(delta=4.0 * rho.matrix - IDENTITY_4, epsilon=0.25)
+        dev.__dict__["rho"] = rho    # its own bits: I/4 + delta/4 can round the diagonal
+        return dev
     where = "state document"
     re, im, epsilon = _fields(doc, ("delta_re", "delta_im", "epsilon"), where)
     delta = _numbers(re, "delta_re", where) + 1j * _numbers(im, "delta_im", where)

@@ -31,7 +31,7 @@ from nmrwitness import (
 from nmrwitness.cli import _config_from_args, build_parser, main
 from nmrwitness.errors import BadConfig, BadDocument, NotAState
 from nmrwitness.harness import DEFAULT_NOISE_LEVEL
-from nmrwitness.nmr import SpinSystemParams
+from nmrwitness.nmr import SpinSystemParams, prepare_deviation
 from nmrwitness.pauli import SIGMA_Z
 
 from conftest import random_traceless_hermitian
@@ -249,8 +249,8 @@ class TestStateReads:
     @pytest.mark.parametrize("run, calls", [
         ("fig2", 3),                # one per state
         ("fig4", 1),                # read at t = 0, then relaxed by the sweep
-        ("custom-deviation", 2),    # delta and rho
-        ("custom-bloch", 1),
+        ("custom-deviation", 2),    # delta for the witness, rho for the exact search
+        ("custom-bloch", 2),        # the same: a Bloch document is a deviation
     ])
     def test_one_pauli_table_per_state_per_run(self, pauli_table_calls, run, calls):
         # noise on, so that fig2 and fig4 read fresh states: the cached ideal
@@ -349,9 +349,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command, fault", [
         ("fig2", "tolerance"), ("fig4", "tolerance"), ("custom", "tolerance"), ("fig2", "table"),
-        ("fig2", "raw-scaled"), ("fig2", "table-seeds"),
+        ("fig2", "raw-scaled"), ("fig2", "table-seeds"), ("custom", "raw-scaled"),
     ], ids=["fig2", "fig4", "custom", "fig2-wrong-table", "fig2-raw-scaled",
-            "fig2-wrong-table-seeds"])
+            "fig2-wrong-table-seeds", "custom-raw-scaled"])
     def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch, capsys, command, fault):
         import nmrwitness.harness as harness
 
@@ -372,8 +372,15 @@ class TestCli:
             monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES * (1 + 1e-4))
             argv += ["--normalization", "raw"]
         if command == "custom":
+            state = {"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}
+            if fault == "raw-scaled":
+                # custom reads raw; the QC deviation at the experiment's epsilon
+                # must gap in thermal units, as fig2's does
+                dev = prepare_deviation("QC", SpinSystemParams())
+                state = {"epsilon": dev.epsilon, "delta_re": dev.delta.real.tolist(),
+                         "delta_im": dev.delta.imag.tolist()}
             doc = tmp_path / "state.json"
-            doc.write_text(json.dumps({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}))
+            doc.write_text(json.dumps(state))
             argv.append(str(doc))
         assert main([*argv, "--out", str(tmp_path / "out")]) == 4
         captured = capsys.readouterr()

@@ -749,6 +749,20 @@ class TestDynamicsSeries:
             with pytest.raises(ValueError, match="deviations must have 3 entries"):
                 DynamicsSeries(**{**fields, "deviations": deviations})
 
+    @pytest.mark.parametrize("values", [[np.nan, 0.5, 0.1], [1.0, np.inf, 0.1], [1.0, 0.5, -np.inf]])
+    def test_first_time_below_rejects_a_series_not_finite(self, values):
+        # the constructor keeps them; the crossing time is not defined
+        series = DynamicsSeries(**{**self.fields(), "quantum": values})
+        with pytest.raises(ValueError, match="quantum has non-finite values"):
+            series.first_time_below("quantum", 1.0)
+
+    @pytest.mark.parametrize("name", ["times", "deviations", "witness"])
+    def test_first_time_below_reads_only_the_four_series(self, name):
+        series = DynamicsSeries(**self.fields())
+        with pytest.raises(ValueError, match=f"series must be one of witness_values, mutual_info, "
+                                             f"quantum, classical, got '{name}'"):
+            series.first_time_below(name, 1.0)
+
 
 class TestThermalModel:
     def test_deviation_shape(self):

@@ -402,10 +402,30 @@ class TestJsonForms:
         assert np.allclose(back.delta, dev.delta, atol=1e-15)
 
     def test_bloch_shorthand(self):
-        doc = {"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}}
-        rho = state_from_json(doc)
-        assert isinstance(rho, DensityMatrix)
-        assert np.allclose(rho.matrix, triplet().matrix, atol=1e-12)
+        # the epsilon = 1/4 deviation 4 rho - I, keeping the document's state as rho
+        bloch = {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1, 1, -1]}
+        dev = state_from_json({"bloch": bloch})
+        rho = from_bloch(BlochSpec(**bloch))
+        assert isinstance(dev, DeviationState) and dev.epsilon == 0.25
+        assert dev.rho.matrix.tobytes() == rho.matrix.tobytes()
+        assert dev.delta.tobytes() == (4.0 * rho.matrix - IDENTITY_4).tobytes()
+        assert np.allclose(dev.rho.matrix, triplet().matrix, atol=1e-12)
+
+    def test_bloch_shorthand_keeps_the_document_state(self):
+        # local vectors, where I/4 + delta/4 rounds a diagonal entry of rho
+        bloch = {"a": [0.04291789843785654, -0.1068783653544347, 0.056580018119818054],
+                 "b": [-0.09725326469572004, -0.06502859968310326, 0.2341646112028754],
+                 "c": [-0.16370544387997216, 0.07391228681162543, -0.2495907938505691]}
+        dev = state_from_json({"bloch": bloch})
+        rho = from_bloch(BlochSpec(**bloch))
+        composed = IDENTITY_4 / 4 + dev.epsilon * dev.delta
+        assert not np.array_equal(composed, rho.matrix)
+        assert np.max(np.abs(composed - rho.matrix)) <= 1e-16
+        assert dev.rho.matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_bloch_shorthand_not_a_state(self):
+        with pytest.raises(NotAState, match="negative eigenvalue"):
+            state_from_json({"bloch": {"a": [0, 0, 0], "b": [0, 0, 0], "c": [1.5, 0, 0]}})
 
 
 def _outcome(fn, *args):
