@@ -254,7 +254,7 @@ def witness(
     W is 0 on a Bell-diagonal state with at most one nonzero correlation
     and positive on the quantum-correlated targets, but it certifies
     neither way: the tests pin a state whose correlation matrix is off
-    diagonal, with W = 0 at every direction tried and nonzero discord, and
+    diagonal, with W = 0 at every direction and nonzero discord, and
     a classical z-basis mixture with zero discord whose W is positive
     through the O_4 terms.
 
@@ -297,3 +297,18 @@ def witness(
         o = _checked_readouts(o)
     o, w = witness_sum(o, normalization, epsilon, include_o4)
     return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
+
+
+def witness_range(state: DensityMatrix | DeviationState, report: WitnessReport,
+                  epsilon: float | None = None) -> tuple[float, float]:
+    """(W_min, W_max) = (W3, W3 + (|a| + |b|)(|o_1| + |o_2| + |o_3|)), the range of W
+    over all unit directions for the readouts of ``report``, a witness report of
+    ``state`` (``epsilon`` as ``witness`` took it).  W3 leaves out <O_4> = z.a + w.b,
+    the one direction-dependent readout: |<O_4>| peaks at |a| + |b|, at z = a/|a|, w = b/|b|."""
+    units = float(state.epsilon) if isinstance(state, DeviationState) else 1.0
+    if report.normalization == "thermal":
+        units /= 2.0 * (state.epsilon if epsilon is None else epsilon)
+    r, o = state.pauli, report.o.tolist()
+    w3 = float(witness_sum(o, include_o4=False)[1])
+    reach = (math.hypot(*r[1:, 0].tolist()) + math.hypot(*r[0, 1:].tolist())) * units
+    return w3, w3 + reach * sum(map(abs, o[:3]))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import STEP_OBSERVABLES, sample_direction, witness
+from .circuit import STEP_OBSERVABLES, sample_direction, witness, witness_range
 from .correlations import (
     CorrelationReport,
     discord_epsilon,
@@ -60,7 +60,6 @@ class ExperimentConfig:
     normalization: str = "thermal"
     noise_level: float | None = None        # None disables noise injection
     pulse_level: bool = False
-    direction_seeds: tuple | None = None    # default: (seed,); W = max over seeds
     params: SpinSystemParams = field(default_factory=SpinSystemParams)
     out_dir: str | None = None
     delta_t: float = 0.0557                 # s
@@ -69,15 +68,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Type and range checks of every field, each raising BadConfig with
-        the field's name; a list of state kinds or of direction seeds (as a
-        JSON --config gives them) becomes a tuple."""
+        the field's name; a JSON list of state kinds becomes a tuple."""
         def check(ok: bool, key: str, want: str):
             check_config(ok, key, getattr(self, key), want)
 
         check(self.experiment in EXPERIMENTS, "experiment", f"one of {', '.join(EXPERIMENTS)}")
         kinds = self.state_kinds
-        check(isinstance(kinds, (list, tuple)) and all(isinstance(k, str) for k in kinds),
-              "state_kinds", "a list of state kind names")
+        check(isinstance(kinds, (list, tuple)) and kinds and all(isinstance(k, str) for k in kinds),
+              "state_kinds", "a non-empty list of state kind names")
         object.__setattr__(self, "state_kinds", tuple(kinds))
         check(is_int(self.seed) and self.seed >= 0, "seed", "a nonnegative integer")
         check(self.normalization in NORMALIZATIONS, "normalization",
@@ -86,10 +84,6 @@ class ExperimentConfig:
         check(level is None or (is_finite(level) and level >= 0),
               "noise_level", "null or a finite nonnegative number")
         check(isinstance(self.pulse_level, bool), "pulse_level", "true or false")
-        if (seeds := self.direction_seeds) is not None:
-            check(isinstance(seeds, (list, tuple)) and all(is_int(s) and s >= 0 for s in seeds),
-                  "direction_seeds", "null or a list of nonnegative integers")
-            object.__setattr__(self, "direction_seeds", tuple(seeds))
         check(isinstance(self.params, SpinSystemParams), "params", "a SpinSystemParams")
         check(self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike)), "out_dir",
               "null or a path")
@@ -97,9 +91,6 @@ class ExperimentConfig:
               "a positive finite number of seconds")
         check(is_int(self.n_steps) and self.n_steps >= 1, "n_steps", "an integer of at least 1")
         check(isinstance(self.write_timing, bool), "write_timing", "true or false")
-
-    def seeds(self) -> tuple:
-        return self.direction_seeds if self.direction_seeds else (self.seed,)
 
 
 @dataclass(frozen=True)
@@ -168,20 +159,13 @@ def _prepare(kind: str, config: ExperimentConfig, noise_rng) -> DeviationState:
     return dev
 
 
-def _witness_with_cross_check(dev: DeviationState, seeds: tuple, table: np.ndarray,
-                              normalization: str, include_o4: bool):
-    """(best circuit report, direct report of its seed, gap): the witness
-    over the direction ``seeds``, read in circuit mode with the readout
-    ``table`` (the first seed of the largest W wins), then in direct mode at
-    the winning seed; CrossCheckFailure when the largest circuit vs direct
-    readout gap exceeds CROSS_CHECK_TOL.  The gap is one per state: the
-    correlation readouts take no direction, and both modes read <O_4> alike.
-    It is in thermal units (a raw gap is divided by 2 epsilon)."""
-    directions = {s: sample_direction(s) for s in seeds}
-    circuit = max((witness(dev, d, "circuit", normalization, include_o4=include_o4, seed=s,
-                           table=table) for s, d in directions.items()), key=lambda rep: rep.w)
-    direct = witness(dev, directions[circuit.seed], "direct", normalization,
-                     include_o4=include_o4, seed=circuit.seed)
+def _witness_with_cross_check(dev: DeviationState, seed: int, table: np.ndarray, normalization: str):
+    """(circuit report, direct report, gap) of the witness at the direction of ``seed``, circuit
+    mode reading with ``table``; CrossCheckFailure when their largest readout gap, in thermal
+    units (a raw gap is divided by 2 epsilon), exceeds CROSS_CHECK_TOL."""
+    d = sample_direction(seed)
+    circuit = witness(dev, d, "circuit", normalization, seed=seed, table=table)
+    direct = witness(dev, d, "direct", normalization, seed=seed)
     gap = float(np.max(np.abs(circuit.o - direct.o)))
     if normalization == "raw":
         gap /= 2.0 * dev.epsilon
@@ -252,11 +236,13 @@ def run_fig2(config: ExperimentConfig) -> RunReport:
     cross_max = 0.0
     for kind in config.state_kinds:
         dev = _prepare(kind, config, noise_rng)
-        rep, _, gap = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
-                                                config.normalization, True)
+        rep, _, gap = _witness_with_cross_check(dev, config.seed, _circuit_table(config),
+                                                config.normalization)
         cross_max = max(cross_max, gap)
         corr = discord_epsilon(dev)
-        rows.append({"state": kind, "witness": rep.to_json(), "correlations": corr.to_json()})
+        w_min, w_max = witness_range(dev, rep)
+        rows.append({"state": kind, "witness": {**rep.to_json(), "W_min": w_min, "W_max": w_max},
+                     "correlations": corr.to_json()})
         witness_rows.append((kind, rep.w, *rep.o, rep.mode, rep.normalization))
         corr_rows.append(_correlation_row(kind, corr))
     tables = {"witness.csv": ("state,W,o1,o2,o3,o4,mode,normalization", witness_rows),
@@ -294,8 +280,8 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     noise_rng = np.random.default_rng(config.seed)
     dev = _prepare("QC", config, noise_rng)
-    *_, cross_max = _witness_with_cross_check(dev, config.seeds(), _circuit_table(config),
-                                              config.normalization, False)
+    *_, cross_max = _witness_with_cross_check(dev, config.seed, _circuit_table(config),
+                                              config.normalization)
     series = dynamics_sweep(dev, config.delta_t, config.n_steps, config.params)
     q0, c0 = series.quantum[0], series.classical[0]
     summary = {
@@ -317,18 +303,18 @@ def run_fig4(config: ExperimentConfig) -> RunReport:
 
 def run_custom(config: ExperimentConfig, state_doc: dict) -> RunReport:
     """Full analysis of one state document, read as a deviation: the witness,
-    raw, through the ideal circuit and at the document's epsilon (of
-    ``config`` only the direction seeds apply), and the discord."""
+    raw, through the ideal circuit, at the document's epsilon and the direction
+    of ``config.seed``, with its range over all directions, and the discord."""
     t0 = time.perf_counter()
     dev = state_from_json(state_doc)
     eps_corr = None if "bloch" in state_doc else discord_epsilon(dev).to_json()
 
-    circuit_rep, direct_rep, gap = _witness_with_cross_check(
-        dev, config.seeds(), STEP_OBSERVABLES, "raw", True)
+    circuit, direct, gap = _witness_with_cross_check(dev, config.seed, STEP_OBSERVABLES, "raw")
     exact = symmetric_discord(dev.rho)
+    w_min, w_max = witness_range(dev, circuit)
     rows = [{
-        "witness_circuit": circuit_rep.to_json(),
-        "witness_direct": direct_rep.to_json(),
+        "witness_circuit": {**circuit.to_json(), "W_min": w_min, "W_max": w_max},
+        "witness_direct": direct.to_json(),
         "exact_correlations": exact.to_json(),
         "epsilon_correlations": eps_corr,
     }]

@@ -170,12 +170,14 @@ class DynamicsSeries:
 
     def first_time_below(self, series: str, threshold: float) -> float | None:
         """The first time ``series`` reads below ``threshold``, or None;
-        ValueError unless it is one of the four series and finite."""
+        ValueError unless it is one of the four series, and it and the threshold are finite."""
         if series not in self._SERIES:
             raise ValueError(f"series must be one of {', '.join(self._SERIES)}, got {series!r}")
         values = getattr(self, series)
         if not np.isfinite(values).all():
             raise ValueError(f"{series} has non-finite values")
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
         below = np.nonzero(values < threshold)[0]
         return float(self.times[below[0]]) if below.size else None
 

@@ -33,6 +33,7 @@ from nmrwitness.circuit import (
     STEP_UNITARIES,
     _checked_readouts,
     _checked_unitary,
+    witness_range,
     witness_sum,
 )
 from nmrwitness import states
@@ -353,8 +354,9 @@ class TestWitness:
 
     def test_bell_diagonal_direction_independent(self):
         rho = from_bloch(BlochSpec(c=np.array([0.5, -0.4, 0.3])))
-        values = [witness(rho, sample_direction(s)).w for s in range(100)]
-        assert max(values) - min(values) <= 1e-12
+        rep = witness(rho, sample_direction(0))
+        w_min, w_max = witness_range(rho, rep)
+        assert w_max - w_min <= 1e-12 and abs(rep.w - w_min) <= 1e-12
 
     def test_balanced_classical_shared_pauli_basis_zero(self):
         # uniform-marginal mixtures in a shared Pauli eigenbasis are
@@ -375,17 +377,40 @@ class TestWitness:
         # z rotation has only off-diagonal correlations, which no O_i reads
         rho = DensityMatrix(IDENTITY_4 / 4
                             + 0.4 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X)) / 4)
-        for seed in (0, 1, 2, 3):
-            assert witness(rho, sample_direction(seed)).w <= 1e-12, seed
+        # at every direction: the largest W over all of them is 0
+        assert witness_range(rho, witness(rho, sample_direction(0)))[1] <= 1e-12
         assert abs(symmetric_discord(rho).quantum - 0.1468) <= 1e-4
 
     def test_positive_witness_on_classical_state(self):
         # nor does W > 0 certify quantumness: a z-basis mixture without
         # uniform marginals reads W > 0 through the O_4 terms alone
         rho = classical_state(ClassicalSpec(probabilities=[0.5, 0.2, 0.2, 0.1]))
-        assert abs(witness(rho, sample_direction(0)).w - 0.1211) <= 1e-4
-        assert witness(rho, sample_direction(0), include_o4=False).w <= 1e-12
+        rep = witness(rho, sample_direction(0))
+        assert abs(rep.w - 0.1211) <= 1e-4
+        w3 = witness(rho, sample_direction(0), include_o4=False).w
+        assert w3 <= 1e-12 and w3 == witness_range(rho, rep)[0]
         assert abs(symmetric_discord(rho).quantum) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(0, 2**31), st.booleans(),
+           st.sampled_from(["raw", "thermal"]), st.sampled_from(["circuit", "direct"]))
+    def test_range_holds_every_direction(self, state_seed, dir_seed, deviation, normalization,
+                                         mode):
+        # W_min <= W <= W_max at a sampled direction, and W_max is reached
+        # at z = a/|a|, w = b/|b|, read in direct mode
+        rng = np.random.default_rng(state_seed)
+        if deviation:
+            state = DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)
+        else:
+            state = random_density_matrix(rng)
+        epsilon = None if deviation else 0.05
+        rep = witness(state, sample_direction(dir_seed), mode, normalization, epsilon)
+        w_min, w_max = witness_range(state, rep, epsilon)
+        assert w_min * (1 - 1e-12) <= rep.w <= w_max * (1 + 1e-12)
+        a, b = state.pauli[1:, 0], state.pauli[0, 1:]
+        top = WitnessDirection(z=a / np.linalg.norm(a), w=b / np.linalg.norm(b))
+        assert abs(witness(state, top, "direct", normalization, epsilon).w - w_max) \
+            <= 1e-12 * w_max
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31), st.integers(0, 2**31))

@@ -200,21 +200,16 @@ class TestCustomAndValidate:
         assert row["epsilon_correlations"] is None
 
     def test_direction_seeds(self):
-        # local vectors make W depend on the O_4 direction; seed 0, the
-        # default, would read more than any of the configured seeds
+        # local vectors make W depend on the O_4 direction: custom reads the
+        # configured seed's, and reports the range over every direction
         doc = {"bloch": {"a": [0.2, 0.0, 0.3], "b": [0.0, -0.2, 0.1], "c": [0.3, -0.2, 0.4]}}
         rho = state_from_json(doc)
-        seeds = (1, 2, 3)
-        w = {s: witness(rho, sample_direction(s)).w for s in seeds}
-        best = max(seeds, key=w.get)
-        assert witness(rho, sample_direction(0)).w > w[best]
-        report = run_custom(ExperimentConfig(experiment="custom", direction_seeds=seeds), doc)
-        row = report.rows[0]
-        assert row["witness_circuit"]["seed"] == best == row["witness_direct"]["seed"]
-        assert abs(row["witness_circuit"]["W"] - w[best]) <= 1e-12
-        # one gap per state: it does not depend on the direction seeds
-        alone = run_custom(ExperimentConfig(experiment="custom", direction_seeds=(best,)), doc)
-        assert report.cross_check_max == alone.cross_check_max
+        assert witness(rho, sample_direction(5)).w != witness(rho, sample_direction(0)).w
+        row = run_custom(ExperimentConfig(experiment="custom", seed=5), doc).rows[0]
+        circuit = row["witness_circuit"]
+        assert circuit["seed"] == 5 == row["witness_direct"]["seed"]
+        assert abs(circuit["W"] - witness(rho, sample_direction(5)).w) <= 1e-12
+        assert circuit["W_min"] < circuit["W"] < circuit["W_max"]
 
     def test_custom_needs_a_state_document(self):
         with pytest.raises(BadDocument, match="needs a state document"):
@@ -349,23 +344,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command, fault", [
         ("fig2", "tolerance"), ("fig4", "tolerance"), ("custom", "tolerance"), ("fig2", "table"),
-        ("fig2", "raw-scaled"), ("fig2", "table-seeds"), ("custom", "raw-scaled"),
+        ("fig2", "raw-scaled"), ("custom", "raw-scaled"),
     ], ids=["fig2", "fig4", "custom", "fig2-wrong-table", "fig2-raw-scaled",
-            "fig2-wrong-table-seeds", "custom-raw-scaled"])
+            "custom-raw-scaled"])
     def test_cross_check_failure_exit_4(self, tmp_path, monkeypatch, capsys, command, fault):
         import nmrwitness.harness as harness
 
         argv = [command]
         if fault == "tolerance":
             monkeypatch.setattr(harness, "CROSS_CHECK_TOL", -1.0)
-        elif fault.startswith("table"):
+        elif fault == "table":
             # steps 2 and 3 read each other's correlation: QC's (1, 1, -1) reads (1, -1, 1)
             monkeypatch.setattr(harness, "STEP_OBSERVABLES", harness.STEP_OBSERVABLES[:, [0, 2, 1]])
-            if fault == "table-seeds":
-                # the direct read is at the winning seed only; the gap is the same at every seed
-                config = tmp_path / "config.json"
-                config.write_text(json.dumps({"direction_seeds": [1, 2, 3]}))
-                argv += ["--config", str(config)]
         else:
             # a 1e-4 table error gaps the raw deviation readouts by about 2e-9,
             # 1e-4 in the thermal units the gap is measured in
@@ -422,6 +412,7 @@ class TestCli:
         ({"params": {"t2_h": 0.1}}, "t2_h"),
         ({"optimizer": {"maxiter": 1}}, "optimizer"),
         ({"params": {"offset_h": 0.0}}, "offset_h"),
+        ({"direction_seeds": [1, 2]}, "direction_seeds"),
     ])
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -553,10 +544,10 @@ class TestCli:
             run_fig2(cfg)
 
     @pytest.mark.parametrize("field, value", [
-        ("experiment", "fig5"), ("state_kinds", "QC"), ("state_kinds", [1]), ("seed", -1),
-        ("seed", 1.5), ("seed", True), ("normalization", "peak"), ("noise_level", -0.1),
-        ("noise_level", float("nan")), ("pulse_level", 1), ("direction_seeds", [1, -2]),
-        ("direction_seeds", 3), ("params", None), ("out_dir", 3),
+        ("experiment", "fig5"), ("state_kinds", "QC"), ("state_kinds", [1]), ("state_kinds", []),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("normalization", "peak"),
+        ("noise_level", -0.1), ("noise_level", float("nan")), ("pulse_level", 1),
+        ("params", None), ("out_dir", 3),
         ("delta_t", 0.0), ("delta_t", float("inf")), ("delta_t", True), ("delta_t", 10**400),
         ("n_steps", 0),
         ("n_steps", 2.0), ("write_timing", "yes"),
@@ -566,8 +557,7 @@ class TestCli:
             ExperimentConfig(**{field: value})
 
     def test_experiment_config_lists_become_tuples(self):
-        cfg = ExperimentConfig(state_kinds=["QC", "CC"], direction_seeds=[3, 4])
-        assert cfg.state_kinds == ("QC", "CC") and cfg.direction_seeds == (3, 4)
+        assert ExperimentConfig(state_kinds=["QC", "CC"]).state_kinds == ("QC", "CC")
 
     def test_state_missing_key_is_bad_document(self):
         with pytest.raises(BadDocument, match="'delta_im'"):
@@ -575,21 +565,9 @@ class TestCli:
         with pytest.raises(BadDocument, match="JSON object"):
             state_from_json([1, 2])
 
-    def test_multi_seed_direction_aggregation(self):
-        cfg = ExperimentConfig(direction_seeds=(0, 1, 2, 3))
-        report = run_fig2(cfg)
-        singles = [
-            next(r for r in run_fig2(ExperimentConfig(direction_seeds=(s,))).rows
-                 if r["state"] == "QC")["witness"]["W"]
-            for s in (0, 1, 2, 3)
-        ]
-        best = next(r for r in report.rows if r["state"] == "QC")["witness"]["W"]
-        assert abs(best - max(singles)) < 1e-12
-
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"state_kinds": ["QC"], "direction_seeds": [2, 5],
-                                   "params": {"epsilon": 1e-4}}))
+        cfg.write_text(json.dumps({"state_kinds": ["QC"], "params": {"epsilon": 1e-4}}))
         out = tmp_path / "out"
         assert main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
         lines = read(out / "witness.csv").strip().split("\n")

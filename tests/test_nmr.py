@@ -756,6 +756,13 @@ class TestDynamicsSeries:
         with pytest.raises(ValueError, match="quantum has non-finite values"):
             series.first_time_below("quantum", 1.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_first_time_below_rejects_a_threshold_not_finite(self, threshold):
+        # below NaN is never read, which would pass for a series never crossing it
+        series = DynamicsSeries(**self.fields())
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            series.first_time_below("quantum", threshold)
+
     @pytest.mark.parametrize("name", ["times", "deviations", "witness"])
     def test_first_time_below_reads_only_the_four_series(self, name):
         series = DynamicsSeries(**self.fields())
