@@ -12,14 +12,16 @@ the repo root:
     python scripts/bench_record.py --n 6
 
 With --parent REV --pairs K it compares this checkout against a
-``git archive`` of REV instead: per workload, K pairs of --trace 0 runs,
-one run on each tree, the first pair starting with the parent and the order
-alternating from pair to pair, then one --trace 1 run on each tree.  For
-every end-to-end metric the file holds each side's median and quartiles
-(``statistics.quantiles``, as bench/run.py's steadiness mode), the pairs the
-checkout wins (strictly better in the metric's direction) and ``claim_holds``:
-wins in at least 9 of every 10 pairs and a median gain larger than the
-parent's interquartile range:
+``git archive`` of REV instead: per workload, K pairs of --trace 0 runs and
+K pairs of --trace 1 runs, one run on each tree, the first pair starting
+with the parent and the order alternating from pair to pair; each untraced
+pair is followed by a traced pair in the same order, so both kinds see the
+same drift of the host.  For every end-to-end metric (untraced runs) and
+every per-layer metric (traced runs) the file holds each side's median and
+quartiles (``statistics.quantiles``, as bench/run.py's steadiness mode), the
+pairs the checkout wins (strictly better in the metric's direction) and
+``claim_holds``: wins in at least 9 of every 10 pairs and a median gain
+larger than the parent's interquartile range:
 
     python scripts/bench_record.py --n 24 --parent HEAD --pairs 10 --workload sweep
 
@@ -105,26 +107,34 @@ def summarize_pairs(parent: list, change: list, better: str) -> dict:
             "parent_iqr": iqr, "claim_holds": 10 * wins >= 9 * len(parent) and gain > iqr}
 
 
+def summarize_runs(runs: list, metrics: list) -> dict:
+    """summarize_pairs of each metric of ``metrics`` (BENCHMARK.json entries)
+    that the paired ``runs`` report."""
+    return {m["name"]: summarize_pairs([r["parent"]["metrics"][m["name"]]["value"] for r in runs],
+                                       [r["change"]["metrics"][m["name"]]["value"] for r in runs],
+                                       m["better"])
+            for m in metrics if m["name"] in runs[0]["parent"]["metrics"]}
+
+
 def paired_runs(name: str, seed: int, seconds: float, pairs: int, parent_root: Path,
-                end_to_end: list) -> dict:
+                spec: dict) -> dict:
     roots = {"parent": parent_root, "change": ROOT}
-    runs = []
+    runs, traced = [], []
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {side: run_bench(roots[side], name, seed, seconds, 0) for side in order}
         runs.append({"first": order[0], **pair})
+        traced.append({"first": order[0],
+                       **{side: run_bench(roots[side], name, seed, seconds, 1) for side in order}})
         print(f"{name} pair {k + 1}/{pairs}: " + ", ".join(
             f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.4g} -> "
-            f"{pair['change']['metrics'][m['name']]['value']:.4g}" for m in end_to_end),
+            f"{pair['change']['metrics'][m['name']]['value']:.4g}" for m in spec["end_to_end"]),
             file=sys.stderr)
-    summary = {m["name"]: summarize_pairs([r["parent"]["metrics"][m["name"]]["value"] for r in runs],
-                                          [r["change"]["metrics"][m["name"]]["value"] for r in runs],
-                                          m["better"])
-               for m in end_to_end}
-    return {"pairs": runs, "summary": summary,
-            "per_layer": {side: run_bench(root, name, seed, seconds, 1) for side, root in roots.items()},
-            "all_correct": all(r[side]["correct"] for r in runs for side in roots),
-            "failed": sum(r[side]["failed"] for r in runs for side in roots)}
+    every = runs + traced
+    return {"pairs": runs, "summary": summarize_runs(runs, spec["end_to_end"]),
+            "traced_pairs": traced, "per_layer": summarize_runs(traced, spec["per_layer"]),
+            "all_correct": all(r[side]["correct"] for r in every for side in roots),
+            "failed": sum(r[side]["failed"] for r in every for side in roots)}
 
 
 def main(argv=None) -> int:
@@ -158,7 +168,7 @@ def main(argv=None) -> int:
             doc["parent"] = {"rev": args.parent, "commit": export_tree(args.parent, parent_root)}
             for name in names:
                 workloads[name] = paired_runs(name, args.seed, seconds, args.pairs, parent_root,
-                                              spec["end_to_end"])
+                                              spec)
                 for metric, s in workloads[name]["summary"].items():
                     print(f"{name}: {metric} median {s['parent']['median']:.4g} -> "
                           f"{s['change']['median']:.4g} (parent IQR {s['parent_iqr']:.3g}), "

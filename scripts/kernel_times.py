@@ -10,10 +10,14 @@ take the checked deviation stack and the fields of the 12-step sweep of
 that deviation, the two last stages of ``dynamics_sweep``.  ``sweep item`` is the timed call of a
 benchmark ``sweep`` item at the default parameters and 12 steps, from the
 state the benchmark passes and from the deviation that fig4 and
-scripts/relaxation_study.py pass.  The
-exact discord search runs on one seed-0 Ginibre state, the input of a
+scripts/relaxation_study.py pass.  ``readout item`` is the call sequence of
+a benchmark ``readout`` item, written out in ``readout_item``, on one fixed
+item: the finite-pulse QC preparation, noise seed READOUT_NOISE_SEED and
+the witness directions of seeds 0 to READOUT_DIRECTIONS - 1.  The exact discord search runs on one seed-0 Ginibre state, the input of a
 ``custom`` item.  ``witness`` reads the Pauli table that a state computes
-once and keeps, so its lines leave out the ``pauli_table`` line's cost.
+once and keeps, so its lines leave out the ``pauli_table`` line's cost; it
+reads the state I/4 + epsilon delta, as a ``readout`` item does, and the
+deviation, as fig2 and fig4 do.
 Each kernel runs once to fill the package's caches; its time is then the
 minimum, over REPEATS timeit repeats, of the mean time of one call, in
 microseconds.  The last line is the time of ``import nmrwitness`` in a
@@ -44,6 +48,29 @@ IMPORT_LAUNCHES = 5
 IMPORT_SCRIPT = "import time; t = time.perf_counter(); import nmrwitness; print(time.perf_counter() - t)"
 SWEEP_STEPS = 12
 SWEEP_DT = 0.0557
+READOUT_NOISE_SEED = 7
+READOUT_DIRECTIONS = 3    # a readout item reads one to five
+
+
+def readout_item(params, kind: str, model: str, noise_seed: int, directions: list):
+    """A benchmark ``readout`` item's calls in order: the pulse-level state,
+    its deviation, the preparation noise from a fresh generator, the noisy
+    state, the three pulse-level circuit steps with their sigma_x^a reads,
+    the witness in circuit and direct mode at each direction, and the trace
+    distance to the ideal target."""
+    eps = params.epsilon
+    clean = nmr.prepare_state(kind, params, level="pulse", model=model)
+    dev = states.extract_deviation(clean, eps)
+    noisy = harness.perturb_deviation(dev, harness.DEFAULT_NOISE_LEVEL,
+                                      np.random.default_rng(noise_seed))
+    rho = states.compose_deviation(noisy)
+    pulse_o = [circuit.readout_sigma_x_a(nmr.pulse_protocol_state(rho, i, params))
+               for i in (1, 2, 3)]
+    reports = [tuple(circuit.witness(rho, d, mode=mode, normalization="thermal", epsilon=eps)
+                     for mode in ("circuit", "direct"))
+               for d in directions]
+    ideal = states.DeviationState(delta=nmr.ideal_deviation(kind, params), epsilon=eps)
+    return pulse_o, reports, states.normalized_trace_distance(ideal, noisy)
 
 
 def kernels() -> dict:
@@ -53,6 +80,7 @@ def kernels() -> dict:
     dev = nmr.prepare_deviation("QC", params, level="pulse")
     rho = states.compose_deviation(dev)
     direction = circuit.sample_direction(0)
+    readout_dirs = [circuit.sample_direction(k) for k in range(READOUT_DIRECTIONS)]
     times = np.arange(SWEEP_STEPS) * SWEEP_DT
     table = nmr._relaxed_table(dev.pauli, times, params, 1.0 / eps)
     deltas = states.from_pauli_table(table)
@@ -78,6 +106,10 @@ def kernels() -> dict:
             rho, direction, mode="circuit", normalization="thermal", epsilon=eps),
         "witness direct": lambda: circuit.witness(
             rho, direction, mode="direct", normalization="thermal", epsilon=eps),
+        "witness circuit (deviation)": lambda: circuit.witness(
+            dev, direction, mode="circuit", normalization="thermal"),
+        "witness direct (deviation)": lambda: circuit.witness(
+            dev, direction, mode="direct", normalization="thermal"),
         f"epsilon_correlations ({SWEEP_STEPS} steps)": lambda: correlations.epsilon_correlations(
             table[:, 1:, 1:]),
         f"_relaxed_table ({SWEEP_STEPS} steps)": lambda: nmr._relaxed_table(
@@ -91,6 +123,8 @@ def kernels() -> dict:
             nmr.prepare_deviation("QC", params), SWEEP_DT, SWEEP_STEPS, params),
         "perturb_deviation": lambda: harness.perturb_deviation(
             dev, harness.DEFAULT_NOISE_LEVEL, rng),
+        "readout item (QC, finite pulses)": lambda: readout_item(
+            params, "QC", "finite", READOUT_NOISE_SEED, readout_dirs),
         "pulse_protocol_state": lambda: nmr.pulse_protocol_state(rho, 2, params, "finite"),
         "symmetric_discord (Ginibre)": lambda: correlations.symmetric_discord(ginibre),
     }

@@ -115,7 +115,7 @@ def protocol_state(rho: DensityMatrix, i: int,
     if i not in PROTOCOL_ROTATIONS:
         raise BadIndex(f"protocol step must be 1, 2 or 3, got {i}")
     u = unitaries[i - 1]
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
+    return DensityMatrix(u.dot(rho.matrix).dot(u.conj().T))
 
 
 def readout_sigma_x_a(xi: DensityMatrix) -> float:
@@ -126,19 +126,30 @@ def readout_sigma_x_a(xi: DensityMatrix) -> float:
     return ((m[0][2] + m[1][3]) + (m[2][0] + m[3][1])).real
 
 
+def _one_vector(o) -> list | None:
+    """The readouts of one state as a list of four numbers: ``o`` itself if it
+    is a list of four (as ``witness`` builds it), the entries of an array of
+    shape (4,); None for a stack of readout vectors."""
+    if isinstance(o, list) and len(o) == 4:
+        return o
+    o = np.asarray(o, dtype=float)
+    return o.tolist() if o.shape == (4,) else None
+
+
 def _checked_readouts(o) -> np.ndarray:
-    """Readouts <O_1>..<O_4> of one state, shape (4,), or the first k of a
+    """Readouts <O_1>..<O_4> of one state, four numbers, or the first k of a
     stack of states, shape (..., k), in units of rho, as a read-only float
     array; ValueError names the first readout over its bound or not a number.
     One state is checked on Python floats, which cost less than numpy calls
-    on four numbers."""
-    o = np.array(o, dtype=float)
+    on four numbers, before its array is made."""
     # "<=", so that a NaN, for which every comparison is False, fails
-    if o.shape == (4,):
-        for v, limit, bound in zip(o.tolist(), _LIMITS_LIST, _BOUNDS_LIST):
-            if not abs(v) <= limit:
-                raise ValueError(f"readout {v} exceeds its bound {bound}")
+    if (v := _one_vector(o)) is not None:
+        for x, limit, bound in zip(v, _LIMITS_LIST, _BOUNDS_LIST):
+            if not abs(x) <= limit:
+                raise ValueError(f"readout {float(x)} exceeds its bound {bound}")
+        o = np.array(v, dtype=float)
     else:
+        o = np.array(o, dtype=float)
         within = np.abs(o) <= _READOUT_LIMITS[:o.shape[-1]]
         if not within.all():
             k = np.unravel_index(int(np.argmin(within)), within.shape)
@@ -149,7 +160,7 @@ def _checked_readouts(o) -> np.ndarray:
 
 def _o4(r: np.ndarray, dir: WitnessDirection) -> float:
     """<O_4> = z.a + w.b from one Pauli table."""
-    return r[1:, 0] @ dir.z + r[0, 1:] @ dir.w
+    return r[1:, 0].dot(dir.z) + r[0, 1:].dot(dir.w)
 
 
 def sample_direction(seed: int) -> WitnessDirection:
@@ -166,6 +177,8 @@ def step_readout(m: np.ndarray, table: np.ndarray = STEP_OBSERVABLES) -> np.ndar
     readout ``table`` of A_i = U_i^dag (sigma_x x I) U_i.  Reads rho and
     delta alike; checks nothing."""
     m = np.asarray(m)
+    if m.shape == (4, 4):
+        return m.reshape(16).dot(table).real    # ndarray.dot costs less than @ on one matrix
     return (m.reshape(*m.shape[:-2], 16) @ table).real
 
 
@@ -202,14 +215,13 @@ def witness_sum(
     include_o4: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized readouts and W = sum_{i<j} |o_i o_j| for one readout
-    vector (4,) or a stack of them (..., 4); see ``witness`` for the
-    options.  ValueError if a readout is NaN or infinite.
+    vector, four numbers, or a stack of them (..., 4); see ``witness`` for
+    the options.  ValueError if a readout is NaN or infinite.
 
     Both paths scale and add the terms left to right, pair by pair, so they
     give the same bits: one vector with Python floats, which cost less than
-    numpy calls on four numbers, and a stack one pair column at a time (a
-    plain sum may group the terms differently)."""
-    o = np.asarray(o, dtype=float)
+    numpy calls on four numbers, made one array at the end, and a stack one
+    pair column at a time (a plain sum may group the terms differently)."""
     if normalization == "thermal":
         if epsilon is None:
             raise ValueError("thermal normalization needs epsilon")
@@ -221,15 +233,15 @@ def witness_sum(
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
 
-    if o.shape == (4,):
-        v = [x / scale for x in o.tolist()]
+    if (v := _one_vector(o)) is not None:
+        v = [x / scale for x in v]
         if not all(map(math.isfinite, v)):
             raise ValueError(f"readouts must be finite, got {v}")
         w = 0.0
         for i, j in _PAIRS[bool(include_o4)]:
             w += abs(v[i] * v[j])
         return np.array(v), np.float64(w)
-    o = o / scale
+    o = np.asarray(o, dtype=float) / scale
     if not np.isfinite(o).all():
         raise ValueError("readouts must be finite")
     (i, j), *rest = _PAIRS[bool(include_o4)]
@@ -294,9 +306,13 @@ def witness(
     o = [x * scale for x in reads.tolist()]
     o.append(float(_o4(r, dir)) * scale)
     if mode == "circuit":
-        o = _checked_readouts(o)
+        _checked_readouts(o)    # raises on a readout over its bound; o stays a list
     o, w = witness_sum(o, normalization, epsilon, include_o4)
-    return WitnessReport(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
+    # the fields straight into the instance dict, as DeviationState.views
+    # does: a frozen dataclass's __init__ sets each with object.__setattr__
+    report = object.__new__(WitnessReport)
+    report.__dict__.update(w=float(w), o=o, mode=mode, normalization=normalization, seed=seed)
+    return report
 
 
 def witness_range(state: DensityMatrix | DeviationState, report: WitnessReport,

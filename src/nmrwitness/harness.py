@@ -6,6 +6,7 @@ output; wall-clock timing is only written when explicitly requested).
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .nmr import (
     prepare_deviation,
     pulse_step_observables,
 )
-from .pauli import su2
+from .pauli import su2_entries
 from .states import DeviationState, normalized_trace_distance, state_from_json
 
 CROSS_CHECK_TOL = 1e-8
@@ -117,32 +118,42 @@ class RunReport:
 _EYE_4 = np.eye(4)
 
 
-def _random_traceless_hermitian(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2
-    h -= np.trace(h) / 4 * _EYE_4
-    return h / np.linalg.norm(h)
-
-
-def _small_rotation(rng: np.random.Generator, level: float) -> np.ndarray:
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    return su2(rng.normal(0.0, level), axis)
-
-
 def perturb_deviation(dev: DeviationState, level: float,
                       rng: np.random.Generator) -> DeviationState:
     """Model of imperfect preparation: small random local rotations (coherent
     pulse miscalibration, the dominant error) plus a weaker additive traceless
-    perturbation scaled to the deviation amplitude (incoherent floor)."""
-    a, b = _small_rotation(rng, level), _small_rotation(rng, level)
+    perturbation scaled to the deviation amplitude (incoherent floor).
+    BadConfig unless ``level`` is finite and nonnegative.
+
+    The draws are one ``rng.standard_normal(40)``, the same stream, and the
+    same generator state after it, as drawing them one kind at a time: qubit
+    a's rotation axis (3 normals, normalized) and angle (1, times level),
+    then qubit b's, then the real and imaginary parts of the 4x4 Gaussian
+    matrix whose traceless Hermitian part is the additive term."""
+    check_config(is_finite(level) and level >= 0, "noise_level", level,
+                 "a finite nonnegative number")
+    z = rng.standard_normal(40)
+    draws = z.tolist()
+    rotations = []
+    for k in (0, 4):
+        axis = z[k:k + 3]
+        norm = math.sqrt(axis.dot(axis))      # np.linalg.norm's own sum, so its bits
+        # 0.0 + level * z is rng.normal(0.0, level), signed zero included
+        rotations.append(su2_entries(0.0 + level * draws[k + 3],
+                                     [v / norm for v in draws[k:k + 3]]))
+    a, b = np.array(rotations).reshape(2, 2, 2)
     # np.kron(a, b) without its per-call shape handling: the same broadcast
     # product, reshaped, so the same bits
     u = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-    delta = u @ dev.delta @ u.conj().T
+    delta = u.dot(dev.delta).dot(u.conj().T)
     delta = (delta + delta.conj().T) / 2.0    # drop the rotation's anti-Hermitian rounding
-    scale = np.linalg.norm(dev.delta)
-    delta = delta + (level / 4.0) * scale * _random_traceless_hermitian(rng)
+    g = 1j * z[24:]
+    g += z[8:24]    # the real part added second: IEEE addition commutes, so the same bits
+    g = g.reshape(4, 4)
+    h = (g + g.conj().T) / 2
+    h -= h.trace() / 4 * _EYE_4
+    h /= np.linalg.norm(h)
+    delta = delta + (level / 4.0) * np.linalg.norm(dev.delta) * h
     return DeviationState(delta=delta, epsilon=dev.epsilon)
 
 

@@ -34,10 +34,27 @@ def bloch_vector_to_op(n: np.ndarray) -> np.ndarray:
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
+# (I, sigma_x, sigma_y, sigma_z) entries of each 2x2 position, row-major, as
+# Python complex numbers.
+_SU2_TERMS = tuple(zip(*(m.ravel().tolist() for m in (IDENTITY_2, *SIGMA))))
+
+
+def su2_entries(angle: float, n) -> list:
+    """The entries u00, u01, u10, u11 of ``su2(angle, n)`` as Python complex
+    numbers, which cost less than numpy calls on four entries.  Each is
+    cos(angle/2) I - (1j sin(angle/2)) ((n_x s_x + n_y s_y) + n_z s_z) with
+    the products and sums of the elementwise matrix expression, signed zeros
+    included, so the bits are those of that expression."""
+    c, s = float(np.cos(angle / 2)), float(np.sin(angle / 2))
+    js = 1j * s
+    nx, ny, nz = map(float, n)
+    return [c * i - js * ((nx * x + ny * y) + nz * z) for i, x, y, z in _SU2_TERMS]
+
+
 def su2(angle: float, n) -> np.ndarray:
     """Single-qubit rotation exp(-i * angle * n.sigma / 2) about the unit
     Bloch vector n, in closed form: cos(angle/2) I - i sin(angle/2) n.sigma."""
-    return np.cos(angle / 2) * IDENTITY_2 - 1j * np.sin(angle / 2) * bloch_vector_to_op(n)
+    return np.array(su2_entries(angle, n)).reshape(2, 2)
 
 
 def direction(theta: float, phi: float) -> np.ndarray:

@@ -14,6 +14,7 @@ Either way only a pass that settles every check accepts at once, and
 anything else falls through to the same per-condition checks and messages.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,9 @@ TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 
 DEFAULT_EPSILON = 1e-5
+
+# The maximally mixed state I/4, the rho of a zero deviation.
+_MIXED = IDENTITY_4 / 4.0
 
 # s_mu x s_nu for mu, nu = 0..3 (s_0 = I), flattened mu-major to (16, 4, 4).
 _PAULI_BASIS = np.array([np.kron(p, q) for p in (IDENTITY_2, *SIGMA)
@@ -55,7 +59,7 @@ def _linear_reads(m: np.ndarray) -> np.ndarray:
 # vector), and the reads of a valid state, which differ from those of a valid
 # deviation matrix (all zero) only in the real trace.
 _CHECK_COLUMNS = np.array([_linear_reads(e.view(complex).reshape(4, 4)) for e in np.eye(32)])
-_UNIT_TRACE = _linear_reads(IDENTITY_4 / 4)
+_UNIT_TRACE = _linear_reads(_MIXED)
 
 # Both parts of every linear read within half the smaller tolerance put the
 # Hermiticity gap |m_ij - conj(m_ji)| and the trace error within 1/sqrt(2) of
@@ -210,7 +214,7 @@ def validate_deviations(d: np.ndarray, epsilon: float) -> np.ndarray:
     epsilon positive and finite, every matrix finite, Hermitian and
     traceless to the module tolerances.  Returns the stack as a new complex
     array; raises ValueError naming the first failing member."""
-    if not (epsilon > 0 and np.isfinite(epsilon)):
+    if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     d = _as_stack(d, ValueError, "deviation matrix")
     if not _within_tolerances(d, unit_trace=False)[0]:
@@ -276,7 +280,7 @@ class DeviationState:
     def rho(self) -> DensityMatrix:
         """The checked state I/4 + epsilon * delta, composed once; NotAState
         on every read if epsilon is too large for delta."""
-        return DensityMatrix(IDENTITY_4 / 4.0 + self.epsilon * self.delta)
+        return DensityMatrix(_MIXED + self.epsilon * self.delta)
 
     @classmethod
     def views(cls, stack: np.ndarray, epsilon: float) -> tuple["DeviationState", ...]:
@@ -351,6 +355,8 @@ def pauli_table(m: np.ndarray) -> np.ndarray:
     R[1:, 0] and R[0, 1:] are the local vectors of qubits a and b, R[1:, 1:]
     the correlation matrix."""
     m = np.asarray(m)
+    if m.shape == (4, 4):
+        return _TRACE_ROWS.dot(m.reshape(16)).real.reshape(4, 4)   # ndarray.dot costs less than @
     rows = _TRACE_ROWS @ m.reshape(*m.shape[:-2], 16, 1)
     return rows[..., 0].real.reshape(m.shape)
 
@@ -388,9 +394,9 @@ def extract_deviation(rho: DensityMatrix, epsilon: float = DEFAULT_EPSILON) -> D
     1e-12) beyond the deviation tolerances, so the rounding crumbs are
     projected out before the check.
     """
-    delta = (rho.matrix - IDENTITY_4 / 4.0) / epsilon
+    delta = (rho.matrix - _MIXED) / epsilon
     delta = (delta + delta.conj().T) / 2.0
-    delta -= np.trace(delta) / 4.0 * IDENTITY_4
+    delta -= delta.trace() / 4.0 * IDENTITY_4
     return DeviationState(delta=delta, epsilon=epsilon)
 
 

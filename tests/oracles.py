@@ -14,7 +14,9 @@ oracle is the preparation-noise draw written with ``np.kron`` and
 the correlations that the witness circuit must reproduce is tr(rho s_i x
 s_i) with Pauli matrices written out here, not the production Pauli table,
 and the Pauli-basis readout table is tr((s_mu x s_nu) A_i) / 4 of explicit
-Kronecker products and observables A_i = U_i^dag (s_x x I) U_i.
+Kronecker products and observables A_i = U_i^dag (s_x x I) U_i.  The witness
+arithmetic oracle is the witness as it was written with ``@`` products and
+numpy sums, which the production one-state path no longer calls.
 """
 
 import numpy as np
@@ -298,10 +300,6 @@ def run_pulse_program_extended(m: np.ndarray, steps: list, digits: int = 50) -> 
 
 # --- preparation noise -----------------------------------------------------------
 
-_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
-          np.array([[0, -1j], [1j, 0]], dtype=complex),
-          np.array([[1, 0], [0, -1]], dtype=complex))
-
 
 def _small_rotation(rng: np.random.Generator, level: float) -> np.ndarray:
     axis = rng.standard_normal(3)
@@ -325,6 +323,46 @@ def perturb_deviation_kron(delta: np.ndarray, level: float, rng: np.random.Gener
     h = (g + g.conj().T) / 2
     h -= np.trace(h) / 4 * np.eye(4)
     return out + (level / 4.0) * scale * (h / np.linalg.norm(h))
+
+
+# --- witness arithmetic ----------------------------------------------------------
+#
+# ``circuit.witness`` as it was written before it read one state on Python
+# floats and ndarray.dot: every read one ``@`` product, the readouts one numpy
+# array and W a numpy sum over the pairs i < j.  The fast form must give the
+# same bytes.
+
+_PAULIS = (np.eye(2, dtype=complex), *_SIGMA)
+# Row 4 mu + nu is (s_mu x s_nu)^T flattened: one product gives the 16 traces.
+_TRACE_ROWS = np.array([np.kron(p, q).T for p in _PAULIS for q in _PAULIS]).reshape(16, 16)
+
+
+def pauli_table_matmul(m: np.ndarray) -> np.ndarray:
+    """tr(m s_mu x s_nu) of one 4x4 matrix as a (4, 4) table, by one ``@``
+    product of the trace rows with the flattened matrix."""
+    return (_TRACE_ROWS @ m.reshape(16, 1))[:, 0].real.reshape(4, 4)
+
+
+def witness_matmul(m: np.ndarray, units: float, z: np.ndarray, w: np.ndarray, mode: str,
+                   table: np.ndarray, normalization: str, epsilon: float | None,
+                   include_o4: bool = True) -> tuple[np.ndarray, np.float64]:
+    """(o, W) of the witness of the matrix m read in ``units`` (epsilon for a
+    deviation delta, 1 for a state rho) at the direction (z, w): the circuit
+    reads (m flat @ table), the direct reads the Pauli table's diagonal,
+    <O_4> = r[1:, 0] @ z + r[0, 1:] @ w; every readout times ``units``, then
+    divided by 2 epsilon under thermal normalization; W adds |o_i o_j| pair by
+    pair, left to right."""
+    r = pauli_table_matmul(m)
+    reads = (m.reshape(16) @ table).real if mode == "circuit" else r.diagonal()[1:]
+    o = np.append(reads, r[1:, 0] @ z + r[0, 1:] @ w) * units
+    if normalization == "thermal":
+        o = o / (2.0 * epsilon)
+    n = 4 if include_o4 else 3
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    big_w = np.abs(o[pairs[0][0]] * o[pairs[0][1]])
+    for i, j in pairs[1:]:
+        big_w = big_w + np.abs(o[i] * o[j])
+    return o, big_w
 
 
 # --- state validators ------------------------------------------------------------

@@ -49,7 +49,13 @@ from nmrwitness.pauli import IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z, 
 from nmrwitness.states import compose_deviation
 
 from conftest import ket_projector, random_density_matrix, random_traceless_hermitian, triplet
-from oracles import bell_diagonal_correlations, pauli_pair_expectation, pauli_readout_table
+from oracles import (
+    bell_diagonal_correlations,
+    pauli_pair_expectation,
+    pauli_readout_table,
+    pauli_table_matmul,
+    witness_matmul,
+)
 
 
 class TestRotation:
@@ -449,6 +455,33 @@ class TestWitness:
             for mode in ("circuit", "direct"):
                 with pytest.raises(EpsilonMismatch, match="1e-05"):
                     witness(dev, sample_direction(0), mode, normalization, epsilon=1e-3)
+
+    @pytest.mark.parametrize("stack", ["ideal", "instantaneous", "finite"])
+    def test_matches_the_matmul_oracle_bitwise(self, stack, rng):
+        """o and W, as bytes, equal those of the witness written with @
+        products and a numpy pair sum, on states and deviations, in both
+        modes and both normalizations; so do the Pauli table and the step
+        states that the one-matrix ndarray.dot paths compute."""
+        u, table = _step_stack(stack)
+        params = SpinSystemParams()
+        devs = [prepare_deviation(kind, params, level="pulse", model=model)
+                for kind in ("QC", "pseudo_pure_11") for model in ("instantaneous", "finite")]
+        devs += [DeviationState(delta=random_traceless_hermitian(rng) / 16, epsilon=0.05)
+                 for _ in range(20)]
+        for k, dev in enumerate(devs):
+            d = sample_direction(k)
+            for state, m, units in ((dev, dev.delta, dev.epsilon), (dev.rho, dev.rho.matrix, 1.0)):
+                assert state.pauli.tobytes() == pauli_table_matmul(m).tobytes()
+                for mode, normalization, include_o4 in itertools.product(
+                        ("circuit", "direct"), ("raw", "thermal"), (True, False)):
+                    rep = witness(state, d, mode, normalization, dev.epsilon, include_o4, table=table)
+                    o, w = witness_matmul(m, units, d.z, d.w, mode, table, normalization,
+                                          dev.epsilon, include_o4)
+                    assert rep.o.tobytes() == o.tobytes()
+                    assert type(rep.w) is float and np.float64(rep.w).tobytes() == w.tobytes()
+            for i, v in enumerate(u, start=1):
+                want = v @ dev.rho.matrix @ v.conj().T
+                assert protocol_state(dev.rho, i, u).matrix.tobytes() == want.tobytes()
 
     @staticmethod
     def _pair_loop(o: np.ndarray, include_o4: bool):

@@ -275,14 +275,37 @@ class TestNoiseModel:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
     def test_matches_kron_oracle_bitwise(self, seed, level):
         """The same draws in the same order and the same arithmetic as the
-        np.kron / np.eye form of the noise model."""
-        for dev in (extract_deviation(prepare_state("QC", SpinSystemParams()), 1e-5),
-                    DeviationState(delta=random_traceless_hermitian(np.random.default_rng(seed)),
-                                   epsilon=1e-5)):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = perturb_deviation(dev, level, rng)
-            assert np.array_equal(got.delta, perturb_deviation_kron(dev.delta, level, ref_rng))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        np.kron / np.eye form of the noise model, compared as bytes so that
+        signed zeros count: 50 seeds from ``seed`` on (200 over the four
+        parameters) for each deviation, among them the pulse-level QC and
+        pseudo_pure_11 deviations of both pulse models, which fig2
+        --pulse-level --noise perturbs."""
+        params = SpinSystemParams()
+        devs = [extract_deviation(prepare_state("QC", params), 1e-5),
+                DeviationState(delta=random_traceless_hermitian(np.random.default_rng(seed)),
+                               epsilon=1e-5)]
+        devs += [prepare_deviation(kind, params, level="pulse", model=model)
+                 for kind in ("QC", "pseudo_pure_11") for model in ("instantaneous", "finite")]
+        for s in range(seed, seed + 50):
+            for dev in devs:
+                rng, ref_rng = np.random.default_rng(s), np.random.default_rng(s)
+                got = perturb_deviation(dev, level, rng)
+                assert got.delta.tobytes() == perturb_deviation_kron(dev.delta, level, ref_rng).tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("level", [-0.01, np.nan, np.inf])
+    def test_rejects_a_level_not_finite_and_nonnegative(self, level):
+        """BadConfig, as ExperimentConfig raises for noise_level, before any
+        draw: no numpy RuntimeWarning (an error here) and no ValueError
+        ``scale < 0`` from the generator."""
+        dev = prepare_deviation("QC", SpinSystemParams(), level="pulse")
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BadConfig, match="noise_level"):
+                perturb_deviation(dev, level, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestCli:

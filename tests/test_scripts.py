@@ -84,3 +84,35 @@ def test_bench_record_summarizes_pairs_on_fixed_numbers():
     for bad in (([1.0], [1.0]), ([1.0, 2.0], [1.0])):
         with pytest.raises(ValueError, match="two or more pairs"):
             summarize(*bad, "lower")
+
+
+def test_bench_record_runs_traced_pairs_beside_the_untraced_ones(tmp_path):
+    """Each untraced pair is followed by a traced pair in the same order, the
+    order alternating from pair to pair, and the traced runs are summarized
+    per layer metric as the untraced ones are end to end."""
+    script = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        side = "parent" if root == tmp_path else "change"
+        calls.append((side, trace))
+        k = len(calls)
+        metric = "traced_item_p50_ms" if trace else "item_p50_ms"
+        value = (2.0 if side == "parent" else 1.0) + k / 100
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {metric: {"value": value, "unit": "ms"}}}
+
+    script["paired_runs"].__globals__["run_bench"] = fake_run
+    spec = {"end_to_end": [{"name": "item_p50_ms", "better": "lower"}],
+            "per_layer": [{"name": "traced_item_p50_ms", "better": "lower"},
+                          {"name": "states.self_ms", "better": "lower"}]}
+    out = script["paired_runs"]("readout", 1, 0.1, 3, tmp_path, spec)
+    assert calls == [("parent", 0), ("change", 0), ("parent", 1), ("change", 1),
+                     ("change", 0), ("parent", 0), ("change", 1), ("parent", 1),
+                     ("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
+    assert [p["first"] for p in out["traced_pairs"]] == ["parent", "change", "parent"]
+    assert list(out["per_layer"]) == ["traced_item_p50_ms"]    # a metric no run reports is left out
+    layer = out["per_layer"]["traced_item_p50_ms"]
+    assert layer["pairs"] == 3 and layer["wins"] == 3 and layer["parent"]["values"] == [2.03, 2.08, 2.11]
+    assert out["summary"]["item_p50_ms"]["wins"] == 3
+    assert out["all_correct"] and out["failed"] == 0
